@@ -8,9 +8,9 @@
 //! Each history line is one benchmarking session's JSON record (the
 //! `BENCH_sim.json` object plus `at`/`rev`, appended by
 //! `scripts/bench.sh`). For every `--metric` (default
-//! `current_median_s`, `current_cold_s`, `sharded_cold_s`,
-//! `sampled_cold_s`, `arena_cold_s`, `arena_warm_s`, and
-//! `engine_ns_per_access`; higher = worse) the
+//! `current_median_s`, `current_cold_s`, `sampled_cold_s`,
+//! `arena_cold_s`, `arena_warm_s`, and `engine_ns_per_access`;
+//! higher = worse) the
 //! sentry compares the newest measurement against the older history
 //! using the median + MAD rule in [`waypart_bench::sentry`], calibrated
 //! to the environment's ±10% wall-clock noise. Without `--current`, the
@@ -130,9 +130,6 @@ fn main() -> ExitCode {
         // Cold time is the headline this engine optimizes (run-cache off,
         // every measurement simulated); the warm median and raw engine
         // ns/access catch regressions the cache would otherwise mask.
-        // `sharded_cold_s` is the `--jobs N` cold wall-clock — it guards
-        // the worker protocol itself (claim churn, peer-wait backoff),
-        // which can regress even when single-process cold time is flat.
         // `sampled_cold_s` is the `--fidelity sampled` cold wall-clock —
         // it guards the functional-warming fast path, whose cost is
         // dominated by the warm_access walk rather than the detailed
@@ -147,7 +144,6 @@ fn main() -> ExitCode {
         metrics = vec![
             "current_median_s".to_string(),
             "current_cold_s".to_string(),
-            "sharded_cold_s".to_string(),
             "sampled_cold_s".to_string(),
             "arena_cold_s".to_string(),
             "arena_warm_s".to_string(),

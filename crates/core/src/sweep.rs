@@ -18,78 +18,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use waypart_telemetry::{self as telemetry, Event, Stamp};
 
-/// One worker's deterministic slice of a distributed sweep.
-///
-/// `ShardSpec::parse("2/4")` is worker 2 of 4. Ownership is decided per
-/// run by a stable hash of the run's cache key — `owns_hash(h)` holds
-/// for exactly one of the `count` workers for every hash, so the slices
-/// are a disjoint exact cover of any run grid *without anyone having to
-/// know the grid's shape up front*: a worker enumerates runs simply by
-/// executing the (cheap) figure pipeline and asking, per run key, whether
-/// the hash falls in its slice. `partition` is the eager form for grids
-/// that have already been enumerated (e.g. a warm run cache's key set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// 1-based worker index in `1..=count`.
-    pub index: u32,
-    /// Total workers (≥ 1).
-    pub count: u32,
-}
-
-impl ShardSpec {
-    /// Parses `"k/n"` (1-based `k` in `1..=n`, `n ≥ 1`). Every malformed
-    /// spec — `0/4`, `5/4`, `k/0`, garbage — is a descriptive `Err`, so
-    /// binaries can print usage and exit nonzero instead of panicking.
-    pub fn parse(spec: &str) -> Result<ShardSpec, String> {
-        let (k, n) = spec
-            .split_once('/')
-            .ok_or_else(|| format!("shard spec `{spec}` is not of the form k/n"))?;
-        let index: u32 = k
-            .trim()
-            .parse()
-            .map_err(|_| format!("shard index `{k}` in `{spec}` is not a positive integer"))?;
-        let count: u32 = n
-            .trim()
-            .parse()
-            .map_err(|_| format!("shard count `{n}` in `{spec}` is not a positive integer"))?;
-        if count == 0 {
-            return Err(format!("shard count must be ≥ 1 in `{spec}`"));
-        }
-        if index == 0 || index > count {
-            return Err(format!("shard index must be in 1..={count} in `{spec}`, got {index}"));
-        }
-        Ok(ShardSpec { index, count })
-    }
-
-    /// Whether the run hashing to `hash` belongs to this worker. For any
-    /// fixed `count`, exactly one `index` owns each hash.
-    pub fn owns_hash(&self, hash: u64) -> bool {
-        hash % u64::from(self.count) == u64::from(self.index - 1)
-    }
-
-    /// Splits an already-enumerated grid into this worker's slice and the
-    /// rest, preserving order. `key_hash` maps an item to the same stable
-    /// hash `owns_hash` is asked about at execution time.
-    pub fn partition<T>(
-        &self,
-        items: Vec<T>,
-        key_hash: impl Fn(&T) -> u64,
-    ) -> (Vec<T>, Vec<T>) {
-        items.into_iter().partition(|item| self.owns_hash(key_hash(item)))
-    }
-
-    /// `"k-of-n"` — stable label for spool directories and telemetry.
-    pub fn label(&self) -> String {
-        format!("{}-of-{}", self.index, self.count)
-    }
-}
-
-impl std::fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 /// Reports sweep progress: the plain stderr line when no telemetry sink
 /// is installed (byte-identical to the historical output), structured
 /// `sweep.progress` counter events when one is. The events carry enough
@@ -288,44 +216,6 @@ mod tests {
             inner.into_iter().sum::<i32>()
         });
         assert_eq!(out, (0..16).map(|x| 4 * x + 6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shard_spec_parses_valid_and_rejects_malformed() {
-        assert_eq!(ShardSpec::parse("1/1").unwrap(), ShardSpec { index: 1, count: 1 });
-        assert_eq!(ShardSpec::parse("3/8").unwrap(), ShardSpec { index: 3, count: 8 });
-        assert_eq!(ShardSpec::parse("3/8").unwrap().label(), "3-of-8");
-        for bad in ["0/4", "5/4", "4/0", "k/0", "1-4", "", "/", "1/", "/4", "1/4/2", "-1/4"] {
-            assert!(ShardSpec::parse(bad).is_err(), "`{bad}` must not parse");
-        }
-    }
-
-    #[test]
-    fn shard_slices_are_a_disjoint_exact_cover() {
-        // For every worker count, each hash is owned by exactly one
-        // worker — union of slices == grid, pairwise intersections empty.
-        let hashes: Vec<u64> = (0..512u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17) ^ i)
-            .chain([0, 1, u64::MAX, u64::MAX - 1])
-            .collect();
-        for count in 1..=16u32 {
-            for &h in &hashes {
-                let owners: Vec<u32> = (1..=count)
-                    .filter(|&index| ShardSpec { index, count }.owns_hash(h))
-                    .collect();
-                assert_eq!(owners.len(), 1, "hash {h:#x} owned by {owners:?} of {count}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_partition_splits_and_preserves_order() {
-        let spec = ShardSpec { index: 2, count: 3 };
-        let (mine, theirs) = spec.partition((0u64..100).collect(), |&x| x);
-        assert!(mine.iter().all(|&x| x % 3 == 1));
-        assert_eq!(mine.len() + theirs.len(), 100);
-        assert!(mine.windows(2).all(|w| w[0] < w[1]), "order preserved");
-        assert!(theirs.windows(2).all(|w| w[0] < w[1]), "order preserved");
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! cache under the *same* keys the existing extension experiments use
 //! (`dyn|`/`ucp|`/`qos|`/`mba|` with identical configs), so an arena
 //! after a full `reproduce` only pays for the policies no other figure
-//! measured, and a warm rerun replays byte-identically — which also
-//! makes the arena sharding-aware for free via the `--shard K/N` cache
-//! protocol.
+//! measured, and a warm rerun replays byte-identically.
 //!
 //! The scoreboard metrics (per pair, then aggregated per policy):
 //!

@@ -12,9 +12,9 @@
 //! It exits nonzero with a diagnosis — never a panic or silent empty
 //! output — when the trace holds no events (recorded without a telemetry
 //! sink) or events but no controller decisions.
-//! The cache-backed subcommands (`fig11`, `fig13`) accept `--shard K/N`
-//! to act as one worker of a sharded sweep over the persistent run cache
-//! (same protocol as `reproduce --shard`; see DESIGN.md §5f).
+//! The arguments are app names and one trace path, never flags: any
+//! argument starting with `-` is a usage error (exit 2), so a mistyped or
+//! stale flag cannot silently run a whole subcommand.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -22,15 +22,14 @@ use std::sync::Arc;
 use waypart_core::dynamic::{DynamicConfig, DynamicPartitioner};
 use waypart_core::policy::PartitionPolicy;
 use waypart_core::runner::{Runner, RunnerConfig};
-use waypart_core::sweep::ShardSpec;
 use waypart_telemetry::sinks::CollectingSink;
 use waypart_telemetry::{self as telemetry, FieldValue};
 use waypart_workloads::{registry, AppSpec};
 
-const USAGE: &str =
-    "usage: probe [dynamic|trace|explain|energy|solo|sweep|fig11|fig13] [--shard K/N] [ARGS...]\n\
-  explain TRACE.jsonl  narrate the ctl.explain decision records of a recorded trace\n\
-  --shard K/N  (fig11/fig13 only) simulate only shard K of N over the shared run cache";
+// Literal newlines: a `\` continuation would strip the indentation.
+const USAGE: &str = "usage: probe [dynamic|trace|explain|energy|solo|sweep|fig11|fig13] [ARGS...]
+  dynamic|trace|sweep [FG [BG]], solo [APP]  app names
+  explain TRACE.jsonl  narrate the ctl.explain decision records of a recorded trace";
 
 /// Looks `name` up in the registry; on failure prints every known app
 /// (instead of panicking with an unhelpful `unwrap` backtrace) and exits.
@@ -47,33 +46,6 @@ fn lookup(name: &str) -> Result<AppSpec, ExitCode> {
     }
 }
 
-/// Extracts a validated `--shard K/N` from argv, returning the remaining
-/// positional args. A malformed spec is a usage error (nonzero exit),
-/// never a panic or a silent full-grid run.
-fn parse_args() -> Result<(Vec<String>, Option<ShardSpec>), ExitCode> {
-    let mut positional = Vec::new();
-    let mut shard = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--shard" {
-            let Some(spec) = args.next() else {
-                eprintln!("probe: --shard needs a K/N value\n{USAGE}");
-                return Err(ExitCode::from(2));
-            };
-            match ShardSpec::parse(&spec) {
-                Ok(s) => shard = Some(s),
-                Err(e) => {
-                    eprintln!("probe: bad --shard `{spec}`: {e}\n{USAGE}");
-                    return Err(ExitCode::from(2));
-                }
-            }
-        } else {
-            positional.push(a);
-        }
-    }
-    Ok((positional, shard))
-}
-
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -82,24 +54,15 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), ExitCode> {
-    let (args, shard) = parse_args()?;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("probe: unknown flag `{flag}`\n{USAGE}");
+        return Err(ExitCode::from(2));
+    }
     let arg_or = |n: usize, default: &str| -> String {
         args.get(n).cloned().unwrap_or_else(|| default.into())
     };
     let which = arg_or(0, "dynamic");
-    if shard.is_some() && !matches!(which.as_str(), "fig11" | "fig13") {
-        eprintln!("probe: `{which}` runs the runner directly (no run cache) — --shard only applies to fig11/fig13\n{USAGE}");
-        return Err(ExitCode::from(2));
-    }
-    /// Builds the lab the fig subcommands measure through: sharded probes
-    /// must share the persistent store so peers can exchange results.
-    fn fig_lab(shard: Option<ShardSpec>) -> waypart_experiments::Lab {
-        use waypart_experiments::Lab;
-        match shard {
-            Some(spec) => Lab::persistent(RunnerConfig::test()).with_shard(spec),
-            None => Lab::new(RunnerConfig::test()),
-        }
-    }
     let runner = Runner::new(RunnerConfig::test());
     match which.as_str() {
         "dynamic" => {
@@ -207,8 +170,8 @@ fn run() -> Result<(), ExitCode> {
             println!("winner: {} ways", search.fg_ways);
         }
         "fig11" => {
-            use waypart_experiments::{fig10, fig11, fig9};
-            let lab = fig_lab(shard);
+            use waypart_experiments::{fig10, fig11, fig9, Lab};
+            let lab = Lab::new(RunnerConfig::test());
             let f9 = fig9::run(&lab);
             let f10 = fig10::run(&lab, &f9);
             let f11 = fig11::run(&f10);
@@ -226,8 +189,8 @@ fn run() -> Result<(), ExitCode> {
             println!("avg shared {:.3} fair {:.3} biased {:.3}", s.mean, f.mean, b.mean);
         }
         "fig13" => {
-            use waypart_experiments::{fig13, fig9};
-            let lab = fig_lab(shard);
+            use waypart_experiments::{fig13, fig9, Lab};
+            let lab = Lab::new(RunnerConfig::test());
             let f9 = fig9::run(&lab);
             let f13 = fig13::run(&lab, &f9);
             for c in &f13.cells {

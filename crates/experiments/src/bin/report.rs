@@ -18,10 +18,9 @@
 //! engine ns/access, sharded cold time, parallel efficiency) across the
 //! sessions recorded in a `BENCH_history.jsonl`, segmented by host,
 //! annotated with `sentry --json` verdicts when `--verdicts` is given.
-//! The flag repeats: fleet sessions folded into
-//! `spool/merged_history.jsonl` render alongside the committed
-//! `BENCH_history.jsonl`, deduped by `session` id (a line without one
-//! dedupes on its own text), first occurrence wins.
+//! The flag repeats: several history files render on one page, deduped
+//! by `session` id (a line without one dedupes on its own text), first
+//! occurrence wins.
 //!
 //! `--arena` renders the controller-arena page from the `arena.json`
 //! that `reproduce --arena` writes: the policy scoreboard (weighted
@@ -652,8 +651,8 @@ fn main() -> ExitCode {
 
     // Trend mode: render the historical perf analytics page and exit.
     // Multiple --history files concatenate, deduped by `session` id
-    // (first occurrence wins) so fleet spools can join the committed
-    // history without double-counting re-merged sessions.
+    // (first occurrence wins), so a session recorded in two files is
+    // counted once.
     if !histories.is_empty() {
         use waypart_experiments::trend;
         let mut seen = std::collections::BTreeSet::new();

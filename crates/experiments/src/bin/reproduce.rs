@@ -3,8 +3,8 @@
 //! ```text
 //! reproduce [--scale test|bench|full]
 //!           [--fidelity exact|sampled[:S]]
-//!           [--out DIR] [--trace PATH]... [--metrics PATH]
-//!           [--shard K/N | --jobs N | --merge] [ARTIFACT...]
+//!           [--out DIR] [--no-cache] [--trace PATH]... [--metrics PATH]
+//!           [--arena] [ARTIFACT...]
 //! ```
 //!
 //! `ARTIFACT` is any of `fig1 table1 fig2 table2 fig3 fig4 fig5 fig6 fig7
@@ -40,21 +40,6 @@
 //! bars are printed alongside the figure (artifact
 //! `fig12_error_bars`); DESIGN.md §5e documents the error model.
 //!
-//! ## Sharding
-//!
-//! `--shard K/N` runs this process as worker K of N: it walks the whole
-//! figure pipeline but only *simulates* the cache keys whose stable hash
-//! lands in its slice (`hash % N == K-1` — an exact disjoint cover of
-//! the run grid regardless of figure structure); misses owned by other
-//! workers are awaited from the shared disk cache (claim files stop two
-//! workers duplicating a shared dependency). Worker artifacts, traces,
-//! and a `stats.json` land in a per-shard spool under
-//! `<cache>/spool/K-of-N/`. `--merge` replays the now-warm cache to emit
-//! byte-identical artifacts and folds the spooled stats and telemetry
-//! aggregates. `--jobs N` does both: forks N local workers and merges
-//! when they finish. Sharding requires the disk cache (`--no-cache`
-//! is rejected); DESIGN.md §5f documents the protocol.
-//!
 //! ## Telemetry
 //!
 //! `--trace PATH` (repeatable) streams the structured event log of the
@@ -68,19 +53,17 @@
 //! Every output — the `--out` directory and each `--trace` and
 //! `--metrics` file — is opened before anything simulates; a path that
 //! cannot be written is a usage error (exit 2) naming the flag and path.
-//! A file that still cannot be written later (an artifact, `arena.json`,
-//! a shard's `stats.json` or spool directory) is reported as
-//! `reproduce: cannot write <path>: <error>` and the process exits 1,
-//! after finishing the rest of the run where one had started.
+//! A file that still cannot be written later (an artifact or
+//! `arena.json`) is reported as `reproduce: cannot write <path>: <error>`
+//! and the process exits 1, after finishing the rest of the run.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use waypart_core::runner::{FidelityMode, RunnerConfig};
-use waypart_core::sweep::ShardSpec;
 use waypart_experiments::*;
 use waypart_telemetry::progress;
 use waypart_telemetry::sinks::{JsonlSink, MetricsSink, MultiSink, SeriesSink};
@@ -90,13 +73,10 @@ use waypart_telemetry::{self as telemetry, Event, Stamp};
 // would strip their indentation.
 const USAGE: &str = "usage: reproduce [--scale test|bench|full] \
 [--fidelity exact|sampled[:S]] [--out DIR] [--no-cache] [--trace PATH]... \
-[--metrics PATH] [--shard K/N | --jobs N | --merge] [--arena] [ARTIFACT...]
+[--metrics PATH] [--arena] [ARTIFACT...]
   --fidelity   exact (default), or sampled: each period measures one quantum
                and fast-forwards S more under functional warming (default 3)
   --trace      write the JSONL event log and its folded series to PATH
-  --shard K/N  run worker K of N over the shared run cache (1 <= K <= N)
-  --jobs N     fork N local shard workers, then merge (requires the disk cache)
-  --merge      replay the warm cache and fold per-shard spools
   --arena      race every registered controller over the headline pairs
                (same as the `arena` artifact; opt-in — not part of the
                default set; writes arena.json for `report --arena` next
@@ -117,19 +97,6 @@ fn fail_usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The cache directory `Lab::persistent` will use — needed up front to
-/// place the per-shard spool directories.
-fn cache_dir() -> PathBuf {
-    std::env::var_os("WAYPART_CACHE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results").join("cache"))
-}
-
-/// The spool directory of one worker: `<cache>/spool/<K-of-N>/`.
-fn spool_dir(shard: ShardSpec) -> PathBuf {
-    cache_dir().join("spool").join(shard.label())
-}
-
 /// Wraps each artifact's computation in a wall-stamped `figure.run` span
 /// and remembers the per-figure seconds for the metrics file.
 struct FigureTimer {
@@ -142,7 +109,6 @@ impl FigureTimer {
     }
 
     fn run<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        progress::set_stage(name);
         telemetry::emit_with(|| {
             Event::begin("figure.run", Stamp::WallUs(telemetry::wall_now_us()))
                 .field("figure", name)
@@ -202,9 +168,6 @@ fn main() {
     let mut trace_paths: Vec<PathBuf> = Vec::new();
     let mut metrics_path: Option<PathBuf> = None;
     let mut wanted: BTreeSet<String> = BTreeSet::new();
-    let mut shard: Option<ShardSpec> = None;
-    let mut jobs: Option<u32> = None;
-    let mut merge = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -221,21 +184,6 @@ fn main() {
                 metrics_path =
                     Some(PathBuf::from(args.next().unwrap_or_else(|| fail_usage("--metrics needs a path"))))
             }
-            "--shard" => {
-                let spec = args.next().unwrap_or_else(|| fail_usage("--shard needs a K/N value"));
-                match ShardSpec::parse(&spec) {
-                    Ok(s) => shard = Some(s),
-                    Err(e) => fail_usage(&format!("bad --shard `{spec}`: {e}")),
-                }
-            }
-            "--jobs" => {
-                let n = args.next().unwrap_or_else(|| fail_usage("--jobs needs a worker count"));
-                match n.parse::<u32>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => fail_usage(&format!("bad --jobs `{n}`: need an integer >= 1")),
-                }
-            }
-            "--merge" => merge = true,
             "--arena" => {
                 wanted.insert("arena".to_string());
             }
@@ -249,23 +197,6 @@ fn main() {
             }
             name => fail_usage(&format!("unknown artifact `{name}`")),
         }
-    }
-    if shard.is_some() && (jobs.is_some() || merge) {
-        fail_usage("--shard is a worker-only flag; it cannot combine with --jobs/--merge");
-    }
-    if shard.is_some() && out.is_some() {
-        fail_usage("--shard writes worker artifacts to its spool; --out applies to the merge step only");
-    }
-    if (shard.is_some() || jobs.is_some() || merge) && !use_cache {
-        fail_usage("sharding coordinates through the disk cache; drop --no-cache");
-    }
-    // A standalone --merge must not fold a fleet that is still running:
-    // live workers are still filling the cache, so the replay below would
-    // duplicate their in-flight work and the fold would be partial.
-    // Checked again inside merge_spools (cheap), but refusing up front
-    // avoids paying for a whole pipeline replay first.
-    if merge && jobs.is_none() {
-        refuse_if_fleet_live();
     }
     if wanted.is_empty() || wanted.contains("all") {
         // The arena is opt-in (it is not a paper artifact and adds two
@@ -285,20 +216,15 @@ fn main() {
     };
     cfg.fidelity = parse_fidelity(&fidelity_arg).unwrap_or_else(|e| fail_usage(&e));
     // Sampled artifacts are approximations; never let them overwrite the
-    // committed exact artifact set under `results/<scale>/`. A worker's
-    // artifacts go to its spool — only the merge step writes the real
-    // output directory.
-    let out_dir = match shard {
-        Some(spec) => spool_dir(spec),
-        None => out.unwrap_or_else(|| match cfg.fidelity {
-            FidelityMode::Exact => PathBuf::from("results").join(&scale),
-            FidelityMode::Sampled { .. } => PathBuf::from("results").join(format!("{scale}-sampled")),
-        }),
-    };
-    // Open every output before anything simulates or a worker forks, so
-    // a bad path fails at once instead of after the whole run.
+    // committed exact artifact set under `results/<scale>/`.
+    let out_dir = out.unwrap_or_else(|| match cfg.fidelity {
+        FidelityMode::Exact => PathBuf::from("results").join(&scale),
+        FidelityMode::Sampled { .. } => PathBuf::from("results").join(format!("{scale}-sampled")),
+    });
+    // Open every output before anything simulates, so a bad path fails at
+    // once instead of after the whole run.
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        fail_output(if shard.is_some() { "the shard spool" } else { "--out" }, &out_dir, e);
+        fail_output("--out", &out_dir, e);
     }
     let traces: Vec<Arc<JsonlSink>> = trace_paths
         .iter()
@@ -307,68 +233,6 @@ fn main() {
     let metrics_file = metrics_path
         .as_ref()
         .map(|path| (path, std::fs::File::create(path).unwrap_or_else(|e| fail_output("--metrics", path, e))));
-
-    // The fleet session id groups one coordinator invocation's worker
-    // history entries; workers inherit it through the environment so the
-    // merge can dedupe re-run shards by `{session}/{label}`.
-    let fleet_session = std::env::var("WAYPART_SESSION")
-        .unwrap_or_else(|_| format!("{}-{}", std::process::id(), progress::unix_now_ms()));
-
-    // Coordinator: fork the workers, wait for all of them, then fall
-    // through to the merge pass over the warm cache.
-    if let Some(n) = jobs {
-        let exe = std::env::current_exe().expect("locate reproduce binary");
-        // Spools left behind by an earlier run with a *different* worker
-        // count (e.g. 3-of-4 after now running --jobs 2) would fold into
-        // the merge and double-count runs; start from an empty spool root.
-        let _ = std::fs::remove_dir_all(cache_dir().join("spool"));
-        let shards: Vec<ShardSpec> = (1..=n).map(|index| ShardSpec { index, count: n }).collect();
-        // Every spool exists before the first worker starts, so one that
-        // cannot be created leaves no worker running.
-        for &spec in &shards {
-            let spool = spool_dir(spec);
-            if let Err(e) = std::fs::create_dir_all(&spool) {
-                eprintln!("reproduce: cannot write {}: {e}", spool.display());
-                std::process::exit(1);
-            }
-        }
-        let mut children = Vec::new();
-        for spec in shards {
-            let spool = spool_dir(spec);
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("--scale")
-                .arg(&scale)
-                .arg("--fidelity")
-                .arg(&fidelity_arg)
-                .arg("--shard")
-                .arg(spec.to_string())
-                .arg("--trace")
-                .arg(spool.join("trace.jsonl"))
-                .arg("--metrics")
-                .arg(spool.join("metrics.json"))
-                .args(wanted.iter())
-                .env("WAYPART_SESSION", &fleet_session)
-                .stdout(std::process::Stdio::null());
-            let child = cmd.spawn().unwrap_or_else(|e| {
-                eprintln!("reproduce: failed to spawn worker {spec}: {e}");
-                std::process::exit(1);
-            });
-            println!("spawned shard worker {spec} (pid {})", child.id());
-            children.push((spec, child));
-        }
-        let mut failed = false;
-        for (spec, mut child) in children {
-            let status = child.wait().expect("wait for shard worker");
-            if !status.success() {
-                eprintln!("reproduce: shard worker {spec} failed: {status}");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        merge = true;
-    }
 
     // Install the requested telemetry sinks.
     let mut sinks: Vec<Arc<dyn telemetry::Sink>> = traces.iter().map(|t| Arc::clone(t) as _).collect();
@@ -394,32 +258,11 @@ fn main() {
     }
     let timer = FigureTimer::new();
 
-    let lab = match (use_cache, shard) {
-        (true, Some(spec)) => Lab::persistent(cfg.clone()).with_shard(spec),
-        (true, None) => Lab::persistent(cfg.clone()),
-        (false, _) => Lab::new(cfg.clone()),
-    };
+    let lab = if use_cache { Lab::persistent(cfg.clone()) } else { Lab::new(cfg.clone()) };
     // Phase attribution is always on for `reproduce` — the accumulators
     // are a handful of relaxed atomics, and the end-of-run "where the
     // time went" table depends on them.
     progress::enable_phase_timers();
-    progress::set_stage("startup");
-    // Heartbeat: every persistent-cache run keeps an atomic status.json
-    // alive in its spool directory (`<cache>/spool/<K-of-N>/` for shard
-    // workers, `<cache>/spool/main/` otherwise) for the `status` fleet
-    // table. `--no-cache` runs have no spool and get no heartbeat.
-    let heartbeat = if use_cache {
-        let label = shard.map(|s| s.label()).unwrap_or_else(|| "main".to_string());
-        progress::start_heartbeat(
-            &cache_dir().join("spool").join(&label),
-            &label,
-            Duration::from_secs(2),
-        )
-        .map_err(|e| eprintln!("reproduce: heartbeat disabled: {e}"))
-        .ok()
-    } else {
-        None
-    };
     let started = std::time::Instant::now();
     // A file that cannot be written once the run has started is named
     // here, and the process exits 1 at the end instead of panicking.
@@ -582,9 +425,8 @@ fn main() {
         let a = timer.run("arena", || arena::run(&lab));
         emit("arena", a.render());
         // The structured arena (series included) feeds `report --arena`.
-        // Written atomically: shard workers all compute the identical
-        // value from the shared cache, so concurrent writers are safe
-        // only if no reader ever sees a half-written file.
+        // Written atomically (tmp + rename), so a reader never sees a
+        // half-written file, even while another `reproduce` rewrites it.
         let json = serde::json::to_string(&a);
         let path = out_dir.join("arena.json");
         let tmp = out_dir.join(format!("arena.json.tmp.{}", std::process::id()));
@@ -616,66 +458,6 @@ fn main() {
              and will re-simulate next run",
             stats.write_errors
         );
-    }
-    if let Some(spec) = shard {
-        let ss = lab.shard_stats();
-        println!(
-            "shard {spec}: {simulated} simulated, {} awaited from peers ({:.1}s polling), {} takeovers, {} write errors",
-            ss.waits,
-            ss.wait_us as f64 / 1e6,
-            ss.takeovers,
-            stats.write_errors,
-        );
-        let json = format!(
-            "{{\"shard\":\"{}\",\"count\":{},\"seconds\":{:.3},\"mem_hits\":{},\"disk_hits\":{},\
-             \"misses\":{},\"memo_served\":{memo_served},\"simulated\":{simulated},\"invalid_entries\":{},\
-             \"bytes_read\":{},\"bytes_written\":{},\
-             \"write_errors\":{},\"waits\":{},\"wait_us\":{},\"takeovers\":{},\"seen_keys\":{}}}\n",
-            spec.label(),
-            spec.count,
-            started.elapsed().as_secs_f64(),
-            stats.mem_hits,
-            stats.disk_hits,
-            stats.misses,
-            stats.invalid_entries,
-            stats.bytes_read,
-            stats.bytes_written,
-            stats.write_errors,
-            ss.waits,
-            ss.wait_us,
-            ss.takeovers,
-            lab.cache().seen_keys().len(),
-        );
-        let stats_path = out_dir.join("stats.json");
-        check_write(&stats_path, std::fs::write(&stats_path, json));
-        // One history line per worker session, appended so retries of a
-        // crashed shard accumulate; the merge dedupes by session id.
-        let history = format!(
-            "{{\"session\":\"{fleet_session}/{}\",\"shard\":\"{}\",\"seconds\":{:.3},\
-             \"misses\":{},\"waits\":{},\"takeovers\":{},\"at_unix_ms\":{}}}\n",
-            spec.label(),
-            spec.label(),
-            started.elapsed().as_secs_f64(),
-            stats.misses,
-            ss.waits,
-            ss.takeovers,
-            progress::unix_now_ms(),
-        );
-        use std::io::Write;
-        let _ = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(out_dir.join("history.jsonl"))
-            .and_then(|mut f| f.write_all(history.as_bytes()));
-    }
-
-    // Merge before the phase accounting so the spool-merge phase shows
-    // up in the breakdown (the artifacts were already replayed above).
-    if merge {
-        progress::set_stage("merge");
-        let t0 = progress::phase_begin();
-        merge_spools(jobs, &fleet_session);
-        progress::phase_add(progress::Phase::SpoolMerge, t0);
     }
 
     // "Where the time went": the always-on phase accumulators, printed as
@@ -764,253 +546,8 @@ fn main() {
             }
         }
     }
-    if let Some(hb) = heartbeat {
-        hb.finish();
-    }
     println!("done in {}s, artifacts in {}", started.elapsed().as_secs(), out_dir.display());
     if write_failed.get() {
         std::process::exit(1);
-    }
-}
-
-/// Standalone `--merge` guard: scans the fleet heartbeats and exits
-/// nonzero if any sharded worker is still live (fresh heartbeat, not
-/// done). The scan is also how a malformed heartbeat surfaces: path and
-/// reason on stderr, nonzero exit, no panic. Unsharded heartbeats (the
-/// `main` label — e.g. a concurrently running plain `reproduce`) don't
-/// block a merge; only `K-of-N` workers write the spools being folded.
-fn refuse_if_fleet_live() {
-    let spool_root = cache_dir().join("spool");
-    let fleet = match fleet::scan_fleet(&spool_root) {
-        Ok(fleet) => fleet,
-        Err(e) => {
-            eprintln!("reproduce: cannot scan fleet heartbeats: {e}");
-            std::process::exit(1);
-        }
-    };
-    let now = progress::unix_now_ms();
-    let live: Vec<&str> = fleet
-        .iter()
-        .filter(|w| parse_spool_label(&w.worker).is_some())
-        .filter(|w| w.state(now, fleet::DEFAULT_STALE_SECS) == fleet::WorkerState::Running)
-        .map(|w| w.worker.as_str())
-        .collect();
-    if !live.is_empty() {
-        eprintln!(
-            "reproduce: refusing to merge: {} live worker(s) still writing ({}); \
-             wait for the fleet to finish, or inspect it with `status`",
-            live.len(),
-            live.join(", "),
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Reads one integer field from a parsed shard `stats.json`.
-fn stat_u64(v: &waypart_telemetry::schema::Json, key: &str) -> u64 {
-    use waypart_telemetry::schema::Json;
-    match v.get(key) {
-        Some(Json::Num { value, .. }) if *value >= 0.0 => *value as u64,
-        _ => 0,
-    }
-}
-
-/// Parses a spool directory name `K-of-N` into `(K, N)`.
-fn parse_spool_label(name: &str) -> Option<(u32, u32)> {
-    let (k, n) = name.split_once("-of-")?;
-    Some((k.parse().ok()?, n.parse().ok()?))
-}
-
-/// The merge pass: folds the worker spools of *one* shard generation
-/// under `<cache>/spool/` — per-shard stats into a scaling summary on
-/// stdout, per-shard JSONL traces into one `merged_trace.jsonl` whose
-/// aggregate records are the fold of every shard's series/histograms,
-/// and per-shard `history.jsonl` session lines into one
-/// `merged_history.jsonl` (deduped by session id) with an appended
-/// coordinator entry carrying the fleet-level `sharded_cold_s`,
-/// `parallel_efficiency_busy`, and the detected core count. Busy-based
-/// efficiency only says the workers overlapped each other — on an
-/// oversubscribed host every worker can be "busy" while the OS
-/// time-slices them with no wall-clock gain, so the wall-clock-based
-/// number (single-process cold time / (workers × fleet wall time)) is
-/// computed where the single-process baseline exists, in `bench.sh`,
-/// and recorded alongside it. Spools whose `K-of-N` label names a different
-/// shard count (leftovers of an interrupted run with another `--jobs`
-/// value) are skipped loudly, never folded — folding them would
-/// double-count runs; unlabeled directories (like the `main` heartbeat
-/// spool) are skipped silently. The *artifacts* need no folding at all:
-/// the pipeline above replayed the warm cache, which by determinism
-/// reproduces the single-process bytes exactly.
-fn merge_spools(expected_shards: Option<u32>, fleet_session: &str) {
-    use waypart_telemetry::merge::AggregateMerge;
-    use waypart_telemetry::schema::{self, Json};
-
-    // The fork path already waited for its children, but a standalone
-    // --merge may race a still-running fleet — refuse rather than fold a
-    // partial generation. (Checked before the replay too; a worker could
-    // have been launched while the replay ran.)
-    refuse_if_fleet_live();
-    let spool_root = cache_dir().join("spool");
-    let mut shards: Vec<(String, f64, u64, u64, u64, u64)> = Vec::new();
-    let mut traces = AggregateMerge::new();
-    let mut merged_events = String::new();
-    let mut merged_history = String::new();
-    let mut history_sessions: BTreeSet<String> = BTreeSet::new();
-    let mut dirs: Vec<PathBuf> = match std::fs::read_dir(&spool_root) {
-        Ok(rd) => rd.filter_map(|e| e.ok()).map(|e| e.path()).filter(|p| p.is_dir()).collect(),
-        Err(_) => Vec::new(),
-    };
-    dirs.sort();
-    // Group the spools by the shard count their label claims; merge only
-    // the generation the caller asked for (--jobs N), or — standalone
-    // --merge — the largest count whose worker set is complete.
-    let mut counts: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-    for dir in &dirs {
-        if let Some((_, n)) = dir.file_name().and_then(|f| f.to_str()).and_then(parse_spool_label)
-        {
-            *counts.entry(n).or_insert(0) += 1;
-        }
-    }
-    let chosen = expected_shards.or_else(|| {
-        counts
-            .iter()
-            .filter(|&(n, present)| present == n)
-            .map(|(n, _)| *n)
-            .max()
-            .or_else(|| counts.keys().max().copied())
-    });
-    dirs.retain(|dir| {
-        let label = dir.file_name().and_then(|f| f.to_str()).and_then(parse_spool_label);
-        let keep = match (label, chosen) {
-            (Some((_, n)), Some(want)) => n == want,
-            _ => false,
-        };
-        // Only a *labeled* spool from another generation is worth a
-        // warning; unlabeled dirs (the `main` heartbeat spool) are
-        // expected bystanders.
-        if !keep && label.is_some() {
-            println!(
-                "shard merge: skipping stale spool {} (merging {} shards)",
-                dir.display(),
-                chosen.map(|n| n.to_string()).unwrap_or_else(|| "?".into()),
-            );
-        }
-        keep
-    });
-    for dir in &dirs {
-        if let Ok(text) = std::fs::read_to_string(dir.join("stats.json")) {
-            if let Ok(v) = schema::parse_json(text.trim()) {
-                let label = match v.get("shard") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => dir.file_name().unwrap_or_default().to_string_lossy().into_owned(),
-                };
-                let seconds = match v.get("seconds") {
-                    Some(Json::Num { value, .. }) => *value,
-                    _ => 0.0,
-                };
-                shards.push((
-                    label,
-                    seconds,
-                    stat_u64(&v, "simulated"),
-                    stat_u64(&v, "waits"),
-                    stat_u64(&v, "takeovers"),
-                    stat_u64(&v, "write_errors"),
-                ));
-            }
-        }
-        if let Ok(text) = std::fs::read_to_string(dir.join("trace.jsonl")) {
-            for line in traces.fold_jsonl(&text) {
-                merged_events.push_str(line);
-                merged_events.push('\n');
-            }
-        }
-        if let Ok(text) = std::fs::read_to_string(dir.join("history.jsonl")) {
-            for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-                // Dedupe by session id; a line without one keys on its
-                // own text (identical retries still collapse).
-                let id = schema::parse_json(line)
-                    .ok()
-                    .and_then(|v| match v.get("session") {
-                        Some(Json::Str(s)) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| line.to_string());
-                if history_sessions.insert(id) {
-                    merged_history.push_str(line);
-                    merged_history.push('\n');
-                }
-            }
-        }
-    }
-    if shards.is_empty() {
-        println!("shard merge: no worker spools under {}", spool_root.display());
-        return;
-    }
-    println!("\nshard merge: {} worker spools", shards.len());
-    let mut busy_sum = 0.0f64;
-    let mut busy_max = 0.0f64;
-    let (mut simulated, mut takeovers, mut write_errors) = (0u64, 0u64, 0u64);
-    for (label, seconds, m, waits, t, we) in &shards {
-        println!(
-            "  shard {label}: {m} simulated in {seconds:.1}s ({waits} waits, {t} takeovers, {we} write errors)"
-        );
-        busy_sum += seconds;
-        busy_max = busy_max.max(*seconds);
-        simulated += m;
-        takeovers += t;
-        write_errors += we;
-    }
-    // Busy-based efficiency of the fork: 1.0 means every worker stayed
-    // busy the whole time; waits and duplicated (taken-over) runs pull
-    // it down. This does NOT measure wall-clock scaling — on a host
-    // with fewer free cores than workers, everyone stays "busy" while
-    // the OS time-slices them and the fleet gains nothing. The honest
-    // wall-clock efficiency needs the single-process cold baseline and
-    // is computed in bench.sh; the detected core count is printed here
-    // so a 1.0 busy figure can be read in context.
-    let efficiency = if busy_max > 0.0 { busy_sum / (shards.len() as f64 * busy_max) } else { 1.0 };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0);
-    println!(
-        "  total: {simulated} runs simulated, {takeovers} takeovers, {write_errors} write errors, \
-         busy max {busy_max:.1}s / sum {busy_sum:.1}s, busy parallel efficiency {efficiency:.2} \
-         ({} workers on {cores} cores; wall-clock efficiency is bench.sh's to measure)",
-        shards.len(),
-    );
-    // Fold the per-shard history sessions plus one coordinator entry:
-    // the fleet-level cold time is the slowest worker (the fleet's wall
-    // clock), not the sum. This stays in the spool — promoting a line
-    // into the committed BENCH_history.jsonl is bench.sh's job.
-    {
-        let shard_sessions = history_sessions.len();
-        merged_history.push_str(&format!(
-            "{{\"session\":\"{fleet_session}\",\"workers\":{},\"host_cores\":{cores},\
-             \"sharded_cold_s\":{busy_max:.3},\
-             \"parallel_efficiency_busy\":{efficiency:.4},\"at_unix_ms\":{}}}\n",
-            shards.len(),
-            progress::unix_now_ms(),
-        ));
-        let history_path = spool_root.join("merged_history.jsonl");
-        match std::fs::write(&history_path, &merged_history) {
-            Ok(()) => println!(
-                "  merged history: {} ({shard_sessions} worker sessions + coordinator entry)",
-                history_path.display(),
-            ),
-            Err(e) => eprintln!("  merged history: write failed: {e}"),
-        }
-    }
-    if traces.series_count() + traces.hist_count() > 0 || !merged_events.is_empty() {
-        let merged_path = spool_root.join("merged_trace.jsonl");
-        let mut doc = merged_events;
-        doc.push_str(&traces.render_jsonl());
-        match std::fs::write(&merged_path, &doc) {
-            Ok(()) => println!(
-                "  merged trace: {} ({} series, {} histograms, {} bad records)",
-                merged_path.display(),
-                traces.series_count(),
-                traces.hist_count(),
-                traces.bad_records(),
-            ),
-            Err(e) => eprintln!("  merged trace: write failed: {e}"),
-        }
     }
 }

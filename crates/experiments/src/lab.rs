@@ -14,7 +14,7 @@
 //! a static run this lab already simulated under another key (a
 //! single-threaded app at another thread count, `Fair` versus
 //! `Biased { fg_ways: 6 }`) is served that simulation's result. The key
-//! still gets its own entry, claim and miss count; only the simulation is
+//! still gets its own entry and miss count; only the simulation is
 //! skipped (DESIGN.md §5j).
 
 use std::any::{Any, TypeId};
@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use waypart_core::controller::Controller;
@@ -30,26 +29,12 @@ use waypart_core::dynamic::{DynamicConfig, DynamicPartitioner};
 use waypart_core::policy::PartitionPolicy;
 use waypart_core::qos::{QosConfig, QosController};
 use waypart_core::runner::{BothOnceResult, PairResult, Run, RunIdentity, RunSpec, Runner, RunnerConfig, SoloResult};
-use waypart_core::sweep::ShardSpec;
 use waypart_core::ucp::{UcpConfig, UcpController};
 use waypart_sim::msr::PrefetcherMask;
 use waypart_workloads::{registry, AppSpec};
 
 use crate::runcache::{CacheStats, RunCache};
-use waypart_telemetry::progress::{self, Counter};
 use waypart_telemetry::{self as telemetry, Event, Stamp};
-
-/// Cross-worker coordination counters of a sharded [`Lab`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Non-owned misses this worker waited on a peer for.
-    pub waits: u64,
-    /// Total microseconds spent polling peers.
-    pub wait_us: u64,
-    /// Non-owned keys this worker simulated itself after the owner's
-    /// claim went missing past the grace period (peer crashed or lagged).
-    pub takeovers: u64,
-}
 
 /// Shared, cached measurement context.
 pub struct Lab {
@@ -62,16 +47,6 @@ pub struct Lab {
     memo: Mutex<HashMap<(RunIdentity, TypeId), Box<dyn Any + Send>>>,
     /// Cache misses served from `memo` instead of simulated.
     memo_served: AtomicU64,
-    /// When set, this lab only *simulates* cache keys the slice owns
-    /// (`ShardSpec::owns_hash` over `RunCache::key_hash`); misses it does
-    /// not own are awaited from the shared disk store.
-    shard: Option<ShardSpec>,
-    /// How long a waiter tolerates an unclaimed, absent entry before
-    /// taking the key over (see [`Lab::wait_for_peer`]).
-    wait_grace: Duration,
-    waits: AtomicU64,
-    wait_us: AtomicU64,
-    takeovers: AtomicU64,
 }
 
 impl Lab {
@@ -103,59 +78,19 @@ impl Lab {
             cache,
             memo: Mutex::new(HashMap::new()),
             memo_served: AtomicU64::new(0),
-            shard: None,
-            wait_grace: Duration::from_secs(120),
-            waits: AtomicU64::new(0),
-            wait_us: AtomicU64::new(0),
-            takeovers: AtomicU64::new(0),
         }
     }
 
-    /// Restricts this lab to simulating only the keys `shard` owns;
-    /// everything else is awaited from peers through the shared store.
-    /// Meaningful only with a persistent cache (an in-memory shard would
-    /// wait forever — the grace-period takeover degrades it to running
-    /// everything itself).
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// Overrides the peer-wait grace period (tests shrink it to
-    /// milliseconds so takeover paths run fast).
-    pub fn with_wait_grace(mut self, grace: Duration) -> Self {
-        self.wait_grace = grace;
-        self
-    }
-
     /// A lab over a different runner configuration that inherits this
-    /// lab's persistence mode, shard slice, and wait grace. For
-    /// experiments that need their own machine model (e.g. the
-    /// page-coloring comparison, which requires modulo indexing) while
-    /// still sharing the on-disk store.
+    /// lab's persistence mode. For experiments that need their own
+    /// machine model (e.g. the page-coloring comparison, which requires
+    /// modulo indexing) while still sharing the on-disk store.
     pub fn sibling(&self, cfg: RunnerConfig) -> Self {
         let cache = match self.cache.dir() {
             Some(dir) => RunCache::persistent(&cfg, dir.clone()),
             None => RunCache::in_memory(&cfg),
         };
-        let mut lab = Self::with_cache(cfg, cache);
-        lab.shard = self.shard;
-        lab.wait_grace = self.wait_grace;
-        lab
-    }
-
-    /// The shard slice this lab executes, if any.
-    pub fn shard(&self) -> Option<ShardSpec> {
-        self.shard
-    }
-
-    /// Cross-worker wait/takeover counters (all zero when unsharded).
-    pub fn shard_stats(&self) -> ShardStats {
-        ShardStats {
-            waits: self.waits.load(Ordering::Relaxed),
-            wait_us: self.wait_us.load(Ordering::Relaxed),
-            takeovers: self.takeovers.load(Ordering::Relaxed),
-        }
+        Self::with_cache(cfg, cache)
     }
 
     /// Cache misses served by an identical simulation this lab already
@@ -207,111 +142,7 @@ impl Lab {
         T: Serialize + Deserialize + Clone + Send + 'static,
     {
         let id = spec.identity();
-        self.run_cached(key, || self.simulate_once(id, || assemble(&mut self.runner.run(spec))))
-    }
-
-    /// Whether this lab's slice owns `key` (always true unsharded).
-    fn owns(&self, key: &str) -> bool {
-        match self.shard {
-            None => true,
-            Some(shard) => shard.owns_hash(self.cache.key_hash(key)),
-        }
-    }
-
-    /// The shard-aware spine every cached run goes through: cache hit →
-    /// return; owned miss → claim, simulate, insert; non-owned miss →
-    /// wait for the owning peer (with grace-period takeover). Unsharded
-    /// labs behave exactly like `RunCache::get_or_run`.
-    fn run_cached<T, F>(&self, key: &str, run: F) -> T
-    where
-        T: Serialize + Deserialize,
-        F: FnOnce() -> T,
-    {
-        if let Some(v) = self.cache.lookup(key) {
-            progress::count(Counter::RunDone);
-            return v;
-        }
-        if self.owns(key) {
-            // Claim so peers racing this as a shared dependency poll
-            // instead of duplicating; a failed claim (peer already took
-            // it over) is fine — determinism makes duplicates harmless
-            // and last-writer-wins keeps the store consistent.
-            let claim = self.cache.try_claim(key);
-            let v = run();
-            self.cache.insert(key, &v);
-            drop(claim); // release strictly after the entry is visible
-            progress::count(Counter::RunDone);
-            return v;
-        }
-        self.wait_for_peer(key, run)
-    }
-
-    /// Polls the shared store for a key another shard owns. Liveness: a
-    /// *fresh* claim means the owner is simulating — keep waiting; no
-    /// claim for longer than the grace period means the owner crashed or
-    /// fell behind — claim the key and run it ourselves (best-effort
-    /// work stealing; worst case both run it and the entries are
-    /// identical by determinism).
-    fn wait_for_peer<T, F>(&self, key: &str, run: F) -> T
-    where
-        T: Serialize + Deserialize,
-        F: FnOnce() -> T,
-    {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        progress::count(Counter::Wait);
-        let started = Instant::now();
-        let mut last_progress = Instant::now();
-        let mut backoff = Duration::from_millis(2);
-        let v = loop {
-            if let Some(v) = self.cache.lookup(key) {
-                break v;
-            }
-            match self.cache.claim_age_secs(key) {
-                Some(age) if age < self.wait_grace.as_secs_f64() => {
-                    // Someone is (or very recently was) on it.
-                    last_progress = Instant::now();
-                }
-                _ if last_progress.elapsed() >= self.wait_grace => {
-                    // A dead owner never releases its claim file
-                    // (ClaimGuard::drop never ran), and try_claim's
-                    // create_new would fail against it forever; clear any
-                    // claim older than the grace period so the takeover
-                    // below can succeed.
-                    self.cache.break_stale_claim(key, self.wait_grace);
-                    if let Some(claim) = self.cache.try_claim(key) {
-                        // The entry may have landed between the lookup
-                        // and the claim.
-                        if let Some(v) = self.cache.lookup(key) {
-                            break v;
-                        }
-                        self.takeovers.fetch_add(1, Ordering::Relaxed);
-                        progress::count(Counter::Takeover);
-                        self.emit_takeover(key);
-                        let v = run();
-                        self.cache.insert(key, &v);
-                        drop(claim);
-                        break v;
-                    }
-                    // Lost the takeover race: a peer claimed it.
-                    last_progress = Instant::now();
-                }
-                _ => {}
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(200));
-        };
-        self.wait_us.fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        progress::count(Counter::RunDone);
-        v
-    }
-
-    /// Emits one `cache.takeover` event (wall-stamped harness activity).
-    fn emit_takeover(&self, key: &str) {
-        telemetry::emit_with(|| {
-            Event::instant("cache.takeover", Stamp::WallUs(telemetry::wall_now_us()))
-                .field("key", key)
-                .field("shard", self.shard.map(|s| s.to_string()).unwrap_or_default().as_str())
-        });
+        self.cache.get_or_run(key, || self.simulate_once(id, || assemble(&mut self.runner.run(spec))))
     }
 
     /// The underlying runner.
@@ -370,12 +201,6 @@ impl Lab {
     /// rest run together through [`Runner::run_batch`], one lane per
     /// distinct identity, lockstep-batched over one shared workload
     /// generator when eligible.
-    ///
-    /// Sharded labs split the misses by key ownership: owned policies
-    /// run together in one lockstep batch (claimed first, so peers racing
-    /// them poll instead of duplicating); non-owned policies are awaited
-    /// from their owners afterwards — per-policy keys and accounting stay
-    /// identical to the sequential path either way.
     pub fn pair_endless_bg_batch(
         &self,
         fg: &AppSpec,
@@ -386,47 +211,31 @@ impl Lab {
             .iter()
             .map(|p| format!("pair|{}+{}|{}", fg.name, bg.name, serde::json::to_string(p)))
             .collect();
-        let mut results: Vec<Option<PairResult>> =
-            keys.iter().map(|k| self.cache.lookup(k)).collect();
-        for _ in results.iter().flatten() {
-            progress::count(Counter::RunDone);
-        }
+        let mut results: Vec<Option<PairResult>> = keys.iter().map(|k| self.cache.lookup(k)).collect();
         let missing: Vec<usize> = (0..policies.len()).filter(|&i| results[i].is_none()).collect();
-        let (owned, awaited): (Vec<usize>, Vec<usize>) =
-            missing.into_iter().partition(|&i| self.owns(&keys[i]));
         let spec = |policy| self.runner.pair_spec(fg, bg, policy);
         let ids: Vec<RunIdentity> =
             policies.iter().map(|&p| spec(p).identity().expect("a static pair has an identity")).collect();
-        if !owned.is_empty() {
-            let claims: Vec<_> = owned.iter().map(|&i| self.cache.try_claim(&keys[i])).collect();
-            // One lane per distinct identity the memo does not hold.
-            let mut lanes: Vec<usize> = Vec::new();
-            for &i in &owned {
-                results[i] = self.memoized(&ids[i]);
-                if results[i].is_none() && !lanes.iter().any(|&l| ids[l] == ids[i]) {
-                    lanes.push(i);
-                }
+        // One lane per distinct identity the memo does not hold.
+        let mut lanes: Vec<usize> = Vec::new();
+        for &i in &missing {
+            results[i] = self.memoized(&ids[i]);
+            if results[i].is_none() && !lanes.iter().any(|&l| ids[l] == ids[i]) {
+                lanes.push(i);
             }
-            let lane_specs = lanes.iter().map(|&l| spec(policies[l])).collect();
-            for (&l, res) in lanes.iter().zip(self.runner.run_batch(lane_specs, Run::pair)) {
-                self.memoize(ids[l].clone(), &res);
-                results[l] = Some(res);
-            }
-            for &i in &owned {
-                let res = match results[i].take() {
-                    Some(res) => res,
-                    None => self.memoized(&ids[i]).expect("a lane simulated every owned identity"),
-                };
-                self.cache.insert(&keys[i], &res);
-                results[i] = Some(res);
-                progress::count(Counter::RunDone);
-            }
-            drop(claims); // release strictly after every entry is visible
         }
-        for i in awaited {
-            results[i] = Some(self.wait_for_peer(&keys[i], || {
-                self.simulate_once(Some(ids[i].clone()), || self.runner.run(spec(policies[i])).pair())
-            }));
+        let lane_specs = lanes.iter().map(|&l| spec(policies[l])).collect();
+        for (&l, res) in lanes.iter().zip(self.runner.run_batch(lane_specs, Run::pair)) {
+            self.memoize(ids[l].clone(), &res);
+            results[l] = Some(res);
+        }
+        for &i in &missing {
+            let res = match results[i].take() {
+                Some(res) => res,
+                None => self.memoized(&ids[i]).expect("a lane simulated every missing identity"),
+            };
+            self.cache.insert(&keys[i], &res);
+            results[i] = Some(res);
         }
         results.into_iter().map(|r| r.expect("every policy resolved")).collect()
     }
@@ -645,11 +454,15 @@ mod tests {
         assert_eq!((lab.cache_stats().misses, lab.memo_served()), (3, 2), "three keys, one simulation");
         let keys: Vec<String> = threads.iter().map(|t| format!("solo|453.povray|t{t}w4pf1")).collect();
         assert_eq!(lab.cache().seen_keys(), keys);
-        let entries = std::fs::read_dir(&dir)
+        let names: Vec<String> = std::fs::read_dir(&dir)
             .expect("cache dir")
-            .filter(|e| e.as_ref().expect("dir entry").path().extension().is_some_and(|x| x == "json"))
-            .count();
-        assert_eq!(entries, 3, "each key has its own disk entry");
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 entry name"))
+            .collect();
+        let is_entry = |n: &String| {
+            n.strip_suffix(".json").is_some_and(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+        };
+        assert!(names.iter().all(is_entry), "only `<hash>.json` entries stay in the cache dir: {names:?}");
+        assert_eq!(names.len(), 3, "each key has its own disk entry");
 
         let replay = Lab::persistent_at(cfg, dir.clone());
         for (&t, want) in threads.iter().zip(&runs) {
@@ -672,117 +485,5 @@ mod tests {
             std::env::temp_dir().join(format!("waypart-lab-{label}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// The small pipeline the sharding tests drive through a lab.
-    fn exercise(lab: &Lab) -> Vec<String> {
-        let fg = lab.app("swaptions").clone();
-        let bg = lab.app("dedup").clone();
-        let mut out = Vec::new();
-        for ways in [4usize, 8, 12] {
-            out.push(serde::json::to_string(&lab.solo(&fg, 2, ways)));
-        }
-        let policies = [
-            PartitionPolicy::Shared,
-            PartitionPolicy::Fair,
-            PartitionPolicy::Biased { fg_ways: 9 },
-        ];
-        for r in lab.pair_endless_bg_batch(&fg, &bg, &policies) {
-            out.push(serde::json::to_string(&r));
-        }
-        out
-    }
-
-    #[test]
-    fn two_shards_produce_identical_results_and_split_the_work() {
-        let dir = tmp_dir("shards");
-        let cfg = RunnerConfig::test();
-        let reference: Vec<String> = exercise(&Lab::new(cfg.clone()));
-
-        // Two workers over one shared store, each owning half the key
-        // space, running the same pipeline concurrently.
-        let handles: Vec<_> = (1..=2u32)
-            .map(|index| {
-                let dir = dir.clone();
-                let cfg = cfg.clone();
-                std::thread::spawn(move || {
-                    let lab = Lab::persistent_at(cfg, dir)
-                        .with_shard(ShardSpec { index, count: 2 })
-                        .with_wait_grace(Duration::from_secs(60));
-                    let out = exercise(&lab);
-                    (out, lab.cache_stats(), lab.shard_stats())
-                })
-            })
-            .collect();
-        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-
-        let mut total_misses = 0;
-        for (out, cache, shard) in &outcomes {
-            assert_eq!(out, &reference, "sharded results must be byte-identical");
-            assert_eq!(shard.takeovers, 0, "no takeover needed while both workers live");
-            total_misses += cache.misses;
-        }
-        // The slices are disjoint: together the two workers simulated the
-        // grid exactly once (6 runs), not twice.
-        assert_eq!(total_misses, reference.len() as u64, "shards must not duplicate runs");
-        assert!(
-            outcomes.iter().all(|(_, c, _)| c.misses < reference.len() as u64),
-            "one worker simulated everything — the partition did not split the grid"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lone_shard_takes_over_abandoned_keys() {
-        // A single worker owning slice 1/2, with zero grace: every
-        // non-owned miss has no live owner, so the worker must take each
-        // one over rather than hang — the liveness property a crashed
-        // peer relies on.
-        let dir = tmp_dir("takeover");
-        let cfg = RunnerConfig::test();
-        let reference: Vec<String> = exercise(&Lab::new(cfg.clone()));
-        let lab = Lab::persistent_at(cfg, dir.clone())
-            .with_shard(ShardSpec { index: 1, count: 2 })
-            .with_wait_grace(Duration::ZERO);
-        assert_eq!(exercise(&lab), reference);
-        let shard = lab.shard_stats();
-        assert!(shard.takeovers > 0, "non-owned keys must be taken over, not hung on");
-        assert_eq!(shard.waits, shard.takeovers, "every wait resolved by takeover");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_claim_from_dead_peer_does_not_livelock() {
-        // A peer claimed keys and was killed: its claim files outlive it
-        // (ClaimGuard::drop never ran). The surviving worker must break
-        // them once they age past the grace period and take the keys
-        // over — not read the failing try_claim as a lost race and poll
-        // forever.
-        let dir = tmp_dir("dead-peer");
-        let cfg = RunnerConfig::test();
-        let reference: Vec<String> = exercise(&Lab::new(cfg.clone()));
-        {
-            let dead = RunCache::persistent(&cfg, dir.clone());
-            for ways in [4usize, 8, 12] {
-                let g = dead.try_claim(&format!("solo|swaptions|t2w{ways}pf1")).expect("claim");
-                std::mem::forget(g);
-            }
-        }
-        let lab = Lab::persistent_at(cfg, dir.clone())
-            .with_shard(ShardSpec { index: 1, count: 2 })
-            .with_wait_grace(Duration::from_millis(50));
-        assert_eq!(exercise(&lab), reference);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sibling_inherits_shard_and_grace() {
-        let cfg = RunnerConfig::test();
-        let lab = Lab::new(cfg.clone())
-            .with_shard(ShardSpec { index: 2, count: 3 })
-            .with_wait_grace(Duration::from_millis(7));
-        let sib = lab.sibling(cfg);
-        assert_eq!(sib.shard(), Some(ShardSpec { index: 2, count: 3 }));
-        assert_eq!(sib.wait_grace, Duration::from_millis(7));
     }
 }

@@ -53,7 +53,6 @@ pub mod ext_qos;
 pub mod ext_trio;
 pub mod ext_ucp;
 pub mod fig9;
-pub mod fleet;
 pub mod headline;
 pub mod lab;
 pub mod report;

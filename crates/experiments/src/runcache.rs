@@ -27,7 +27,8 @@
 //! written for; a load whose stored key mismatches is treated as a miss,
 //! so hash collisions degrade to re-simulation, never to wrong data.
 //! Writes go through a temp file + atomic rename, so concurrent
-//! processes and interrupted runs can never leave a torn entry.
+//! processes and interrupted runs can never leave a torn entry, and a
+//! finished run leaves nothing but `<hash>.json` entries behind.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -37,7 +38,7 @@ use std::sync::Mutex;
 use serde::json::{self, Value};
 use serde::{Deserialize, Serialize};
 use waypart_core::runner::RunnerConfig;
-use waypart_telemetry::progress::{self, Counter, Phase};
+use waypart_telemetry::progress::{self, Phase};
 
 /// Version of the *engine semantics* the cached results were produced
 /// under. Bump whenever simulation output changes for the same
@@ -103,8 +104,7 @@ pub struct RunCache {
     write_errors: AtomicU64,
     /// Every key suffix this cache was asked about (sorted, deduped) — a
     /// warm pass over the figure pipeline enumerates the full run grid
-    /// here without simulating anything (the shard partition is defined
-    /// over these keys' hashes).
+    /// here without simulating anything.
     seen: Mutex<BTreeSet<String>>,
 }
 
@@ -169,14 +169,6 @@ impl RunCache {
         self.seen.lock().expect("run cache").iter().cloned().collect()
     }
 
-    /// The stable cross-process hash of a caller key — the same FNV-1a
-    /// value that names the key's disk entry file. Shard slices partition
-    /// the run grid by this hash (`ShardSpec::owns_hash`), so ownership is
-    /// an exact cover of the key space regardless of figure structure.
-    pub fn key_hash(&self, key_suffix: &str) -> u64 {
-        fnv1a(self.full_key(key_suffix).as_bytes())
-    }
-
     /// Number of distinct runs memoized in memory.
     pub fn mem_len(&self) -> usize {
         self.mem.lock().expect("run cache").len()
@@ -214,14 +206,12 @@ impl RunCache {
         if let Some(text) = self.mem.lock().expect("run cache").get(&key) {
             let value = json::from_str::<T>(text).expect("corrupt in-memory cache entry");
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            progress::count(Counter::MemHit);
             self.emit_lookup(key_suffix, "mem_hit");
             return Some(value);
         }
 
         if let Some(value) = self.load_disk::<T>(&key) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            progress::count(Counter::DiskHit);
             self.emit_lookup(key_suffix, "disk_hit");
             return Some(value);
         }
@@ -234,7 +224,6 @@ impl RunCache {
         let key = self.full_key(key_suffix);
         self.record_seen(key_suffix);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        progress::count(Counter::Miss);
         self.emit_lookup(key_suffix, "miss");
         let text = json::to_string(value);
         self.store_disk(&key, &text);
@@ -246,13 +235,11 @@ impl RunCache {
         format!("v{SCHEMA_VERSION}|{:016x}|{key_suffix}", self.cfg_hash)
     }
 
-    /// Records a key suffix in the seen-key grid enumeration. A *new*
-    /// key also grows the heartbeat's run-grid total.
+    /// Records a key suffix in the seen-key grid enumeration.
     fn record_seen(&self, key_suffix: &str) {
         let mut seen = self.seen.lock().expect("run cache");
         if !seen.contains(key_suffix) {
             seen.insert(key_suffix.to_string());
-            progress::count(Counter::RunSeen);
         }
     }
 
@@ -277,11 +264,6 @@ impl RunCache {
     /// File path for `key` under the cache directory.
     fn entry_path(&self, key: &str) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{:016x}.json", fnv1a(key.as_bytes()))))
-    }
-
-    /// Claim-file path for `key` under the cache directory.
-    fn claim_path(&self, key: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{:016x}.claim", fnv1a(key.as_bytes()))))
     }
 
     /// Loads and validates a disk entry; any mismatch or parse failure is
@@ -374,95 +356,6 @@ impl RunCache {
             .field("error", err.to_string().as_str())
             .field("write_errors", self.write_errors.load(Ordering::Relaxed))
         });
-    }
-
-    // ------------------------------------------------------------- claims
-    //
-    // Two shards can race one *shared* dependency (a run neither owns
-    // exclusively — e.g. a characterization solo both figures need). A
-    // claim file `<entry-hash>.claim`, created with `create_new`, marks
-    // "some worker is simulating this key right now"; peers poll the
-    // entry instead of duplicating a 100-second run. Claims are strictly
-    // best-effort: every failure mode (unwritable dir, crashed claimant,
-    // clock skew) degrades to both workers running the key and the
-    // last-writer-wins entry store — never to a missing or wrong result.
-
-    /// Tries to claim `key_suffix` for this process. `Some` means the
-    /// caller should simulate the key (it either holds the claim, or the
-    /// cache has no claim machinery — in-memory, or an unwritable dir);
-    /// `None` means another live worker holds a claim. The returned guard
-    /// releases the claim on drop; insert the entry *before* dropping it
-    /// so pollers observe the result no later than the release.
-    pub fn try_claim(&self, key_suffix: &str) -> Option<ClaimGuard> {
-        let key = self.full_key(key_suffix);
-        let Some(path) = self.claim_path(&key) else {
-            return Some(ClaimGuard { path: None });
-        };
-        let Some(dir) = self.dir.as_ref() else {
-            return Some(ClaimGuard { path: None });
-        };
-        if std::fs::create_dir_all(dir).is_err() {
-            return Some(ClaimGuard { path: None });
-        }
-        match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(_) => {
-                progress::claim_acquired();
-                Some(ClaimGuard { path: Some(path) })
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => None,
-            // Any other failure: no cross-process arbitration available;
-            // run it ourselves (duplicated work beats a deadlock).
-            Err(_) => Some(ClaimGuard { path: None }),
-        }
-    }
-
-    /// Age in seconds of the claim file for `key_suffix`, or `None` when
-    /// no claim exists (or the cache is in-memory). A waiting worker
-    /// treats a claim older than its grace period as abandoned and takes
-    /// the key over.
-    pub fn claim_age_secs(&self, key_suffix: &str) -> Option<f64> {
-        let key = self.full_key(key_suffix);
-        let path = self.claim_path(&key)?;
-        let modified = std::fs::metadata(&path).ok()?.modified().ok()?;
-        Some(modified.elapsed().map(|d| d.as_secs_f64()).unwrap_or(0.0))
-    }
-
-    /// Removes the claim file for `key_suffix` if it is at least
-    /// `older_than` old; returns whether a stale claim was removed. A
-    /// claim whose owner died without running [`ClaimGuard::drop`] (OOM,
-    /// SIGKILL) would otherwise block [`Self::try_claim`]'s `create_new`
-    /// forever — a waiter past its grace period calls this first so the
-    /// takeover can actually succeed. Best-effort like every claim
-    /// operation: racing a live re-claimant at worst duplicates one run.
-    pub fn break_stale_claim(&self, key_suffix: &str, older_than: std::time::Duration) -> bool {
-        let key = self.full_key(key_suffix);
-        let Some(path) = self.claim_path(&key) else {
-            return false;
-        };
-        let stale = std::fs::metadata(&path)
-            .ok()
-            .and_then(|m| m.modified().ok())
-            .is_some_and(|t| t.elapsed().map(|age| age >= older_than).unwrap_or(false));
-        stale && std::fs::remove_file(&path).is_ok()
-    }
-}
-
-/// Holds a best-effort cross-process claim on one run-cache key;
-/// removes the claim file when dropped. See [`RunCache::try_claim`].
-#[derive(Debug)]
-pub struct ClaimGuard {
-    /// `None` when no claim file backs the guard (in-memory cache or an
-    /// unwritable directory): the caller still simulates, there is just
-    /// nothing to release.
-    path: Option<PathBuf>,
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
-            progress::claim_released();
-        }
     }
 }
 
@@ -676,72 +569,6 @@ mod tests {
         let _: u64 = cache.get_or_run("solo|b|t1", || 3); // dedup
         let _: Option<u64> = cache.lookup("pair|x+y|shared"); // miss still recorded
         assert_eq!(cache.seen_keys(), vec!["pair|x+y|shared", "solo|a|t1", "solo|b|t1"]);
-    }
-
-    #[test]
-    fn key_hash_matches_entry_filename() {
-        let dir = tmp_dir("keyhash");
-        let cfg = RunnerConfig::test();
-        let cache = RunCache::persistent(&cfg, dir.clone());
-        let _: u64 = cache.get_or_run("solo|hash", || 9);
-        let entry = only_entry(&dir);
-        let name = entry.file_name().unwrap().to_str().unwrap();
-        assert_eq!(name, format!("{:016x}.json", cache.key_hash("solo|hash")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn claims_arbitrate_and_release() {
-        let dir = tmp_dir("claims");
-        let cfg = RunnerConfig::test();
-        let a = RunCache::persistent(&cfg, dir.clone());
-        let b = RunCache::persistent(&cfg, dir.clone());
-
-        assert!(a.claim_age_secs("pair|c+d|shared").is_none(), "no claim yet");
-        let guard = a.try_claim("pair|c+d|shared").expect("first claim succeeds");
-        assert!(b.try_claim("pair|c+d|shared").is_none(), "second claimant must wait");
-        let age = b.claim_age_secs("pair|c+d|shared").expect("claim file visible to peer");
-        assert!(age < 60.0, "fresh claim reported ancient: {age}");
-        // A different key is independent.
-        assert!(b.try_claim("pair|other|shared").is_some());
-
-        drop(guard);
-        assert!(b.claim_age_secs("pair|c+d|shared").is_none(), "drop releases the claim");
-        assert!(b.try_claim("pair|c+d|shared").is_some(), "released key is claimable again");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_claims_can_be_broken_for_takeover() {
-        let dir = tmp_dir("stale-claim");
-        let cfg = RunnerConfig::test();
-        let a = RunCache::persistent(&cfg, dir.clone());
-        let guard = a.try_claim("pair|x+y|shared").expect("first claim");
-        // The owner "crashes": ClaimGuard::drop never runs and the claim
-        // file outlives the process.
-        std::mem::forget(guard);
-        let b = RunCache::persistent(&cfg, dir.clone());
-        assert!(b.try_claim("pair|x+y|shared").is_none(), "stale claim still blocks create_new");
-        assert!(
-            !b.break_stale_claim("pair|x+y|shared", std::time::Duration::from_secs(60)),
-            "a claim younger than the threshold must not be broken"
-        );
-        assert!(b.try_claim("pair|x+y|shared").is_none(), "fresh-looking claim still holds");
-        assert!(
-            b.break_stale_claim("pair|x+y|shared", std::time::Duration::ZERO),
-            "past the threshold the dead owner's claim is removed"
-        );
-        assert!(b.try_claim("pair|x+y|shared").is_some(), "takeover can now claim the key");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn in_memory_claims_are_noops_that_always_grant() {
-        let cache = RunCache::in_memory(&RunnerConfig::test());
-        let g1 = cache.try_claim("solo|x");
-        let g2 = cache.try_claim("solo|x");
-        assert!(g1.is_some() && g2.is_some(), "no cross-process arbitration in memory");
-        assert!(cache.claim_age_secs("solo|x").is_none());
     }
 
     #[test]

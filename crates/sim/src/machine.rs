@@ -436,9 +436,6 @@ impl Machine {
                     let fill_t0 = progress::phase_begin();
                     slot.len = slot.stream.fill(&mut slot.buf);
                     progress::phase_add(Phase::StreamGen, fill_t0);
-                    if fill_t0.is_some() {
-                        progress::count_sim_accesses(slot.len as u64);
-                    }
                     drain_seg = progress::phase_begin();
                     slot.pos = 0;
                     slot.exhausted = slot.len < slot.buf.len();
@@ -573,9 +570,6 @@ impl Machine {
             let fill_t0 = progress::phase_begin();
             slot.len = slot.stream.fill(&mut slot.buf);
             progress::phase_add(Phase::StreamGen, fill_t0);
-            if fill_t0.is_some() {
-                progress::count_sim_accesses(slot.len as u64);
-            }
             drain_seg = progress::phase_begin();
             slot.pos = 0;
             slot.exhausted = slot.len < slot.buf.len();

@@ -1,4 +1,4 @@
-//! Log-bucketed, mergeable latency histograms — the HDR shape.
+//! Log-bucketed latency histograms — the HDR shape.
 //!
 //! Serving stacks aggregate per-request latencies into histograms whose
 //! buckets grow geometrically, so the memory cost is O(log range) while
@@ -8,19 +8,17 @@
 //! sub-buckets, bounding the relative bucket width to `1/SUBBUCKETS`
 //! (≈ 6.25%).
 //!
-//! Histograms merge by bucket-wise addition, which is exact: merging the
-//! histograms of two runs is indistinguishable from recording both runs
-//! into one histogram. `count`, `sum`, `min` and `max` are tracked
-//! exactly; quantiles are bucket upper bounds clamped to the observed
-//! max, so every estimate `est` of a true quantile `q` satisfies
-//! `q ≤ est ≤ q + q/SUBBUCKETS + 1` (the property tests pin this).
+//! `count`, `sum`, `min` and `max` are tracked exactly; quantiles are
+//! bucket upper bounds clamped to the observed max, so every estimate
+//! `est` of a true quantile `q` satisfies `q ≤ est ≤ q + q/SUBBUCKETS + 1`
+//! (the property tests pin this).
 
 /// Linear sub-buckets per power-of-two octave (must be a power of two).
 pub const SUBBUCKETS: u64 = 16;
 /// log2 of [`SUBBUCKETS`].
 const SUB_BITS: u32 = 4;
 
-/// A mergeable log-bucketed histogram of `u64` samples.
+/// A log-bucketed histogram of `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Bucket counts, indexed by [`bucket_index`]; grown lazily so an
@@ -97,53 +95,6 @@ impl Histogram {
         }
         self.count += n;
         self.sum += u128::from(v) * u128::from(n);
-    }
-
-    /// Rebuilds a histogram from its serialized parts — the inverse of
-    /// [`Self::to_json_record`], used by [`crate::merge`] to fold
-    /// per-shard traces. `buckets` are `(lower_bound, count)` pairs as
-    /// produced by [`Self::buckets`]; `sum`, `min` and `max` replace the
-    /// bucket-derived approximations with the recorded exact values
-    /// (bucket lower bounds round samples down, the recorded fields do
-    /// not).
-    pub fn from_parts(
-        buckets: impl IntoIterator<Item = (u64, u64)>,
-        sum: u128,
-        min: u64,
-        max: u64,
-    ) -> Histogram {
-        let mut h = Histogram::new();
-        for (lower, n) in buckets {
-            h.record_n(lower, n);
-        }
-        if h.count > 0 {
-            h.sum = sum;
-            h.min = min;
-            h.max = max;
-        }
-        h
-    }
-
-    /// Adds `other`'s samples into `self` (exact: bucket-wise addition).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (slot, &n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *slot += n;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Number of samples recorded.
@@ -301,35 +252,6 @@ mod tests {
         let p50 = h.p50();
         assert!((50..=54).contains(&p50), "p50={p50}");
         assert!(h.p50() <= h.p90() && h.p90() <= h.p99() && h.p99() <= h.max());
-    }
-
-    #[test]
-    fn merge_equals_recording_both() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for v in [0u64, 3, 17, 900, 1_000_000, u64::MAX / 7] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [5u64, 5, 80_000] {
-            b.record_n(v, 2);
-            both.record_n(v, 2);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Histogram::new();
-        a.record(42);
-        let snapshot = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, snapshot);
-        let mut e = Histogram::new();
-        e.merge(&snapshot);
-        assert_eq!(e, snapshot);
     }
 
     #[test]

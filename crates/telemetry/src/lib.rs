@@ -40,7 +40,6 @@
 
 pub mod event;
 pub mod hist;
-pub mod merge;
 pub mod progress;
 pub mod schema;
 pub mod series;

@@ -1,87 +1,19 @@
-//! Live worker progress: heartbeat snapshots and phase-level time
-//! attribution.
+//! Phase-level wall-time attribution.
 //!
-//! A fleet of `reproduce --shard K/N` workers is a set of independent
-//! processes whose only shared state is the run cache. This module gives
-//! each worker a *heartbeat*: a small `status.json` snapshot written
-//! atomically (tmp + rename, same discipline as the run cache) into the
-//! worker's spool directory on a fixed interval, so `status` can render a
-//! live fleet table and flag stalled workers long before the §5f claim
-//! takeover grace period fires.
-//!
-//! The same module owns the *phase timers*: five always-compiled
-//! nanosecond accumulators (stream generation, probe+fill, controller,
-//! run-cache IO, spool merge) that partition a run's wall time. They are
-//! gated behind one relaxed atomic flag and sampled at buffer/quantum
-//! granularity — never per access — so the sim hot path pays two `Instant`
-//! reads per 256-event refill when enabled and a single load when not.
+//! Four always-compiled nanosecond accumulators (stream generation,
+//! probe+fill, controller, run-cache IO) partition a run's wall time for
+//! `reproduce`'s "where the time went" table. They are gated behind one
+//! relaxed atomic flag and sampled at buffer/quantum granularity — never
+//! per access — so the sim hot path pays two `Instant` reads per
+//! 256-event refill when enabled and a single load when not.
 //!
 //! Everything here is observation-only: no simulation state, artifact
 //! byte, or cache key depends on any value in this module.
 
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
-// ---------------------------------------------------------------- counters
-
-static RUNS_SEEN: AtomicU64 = AtomicU64::new(0);
-static RUNS_DONE: AtomicU64 = AtomicU64::new(0);
-static MEM_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static WAITS: AtomicU64 = AtomicU64::new(0);
-static TAKEOVERS: AtomicU64 = AtomicU64::new(0);
-static CLAIMS_HELD: AtomicI64 = AtomicI64::new(0);
-
-/// One countable pipeline event. Increments are relaxed atomics at
-/// per-run (not per-access) granularity, so they are unconditionally on.
-#[derive(Clone, Copy, Debug)]
-pub enum Counter {
-    /// A cache key entered the run grid (one `RunCache` lookup).
-    RunSeen,
-    /// A run's value was obtained (hit, fresh run, or awaited peer).
-    RunDone,
-    MemHit,
-    DiskHit,
-    Miss,
-    Wait,
-    Takeover,
-}
-
-/// Bumps one fleet-progress counter.
-#[inline]
-pub fn count(counter: Counter) {
-    let slot = match counter {
-        Counter::RunSeen => &RUNS_SEEN,
-        Counter::RunDone => &RUNS_DONE,
-        Counter::MemHit => &MEM_HITS,
-        Counter::DiskHit => &DISK_HITS,
-        Counter::Miss => &MISSES,
-        Counter::Wait => &WAITS,
-        Counter::Takeover => &TAKEOVERS,
-    };
-    slot.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records that this process now holds one more run-cache claim file.
-#[inline]
-pub fn claim_acquired() {
-    CLAIMS_HELD.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records that a held claim file was released (or broken by a peer).
-#[inline]
-pub fn claim_released() {
-    CLAIMS_HELD.fetch_sub(1, Ordering::Relaxed);
-}
-
-// ------------------------------------------------------------ phase timers
-
-/// A wall-time attribution bucket. The five buckets partition where a
+/// A wall-time attribution bucket. The four buckets partition where a
 /// `reproduce` run spends its time; anything outside them is reported as
 /// "other" by the caller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,22 +26,12 @@ pub enum Phase {
     Controller = 2,
     /// Run-cache disk reads and writes.
     RuncacheIo = 3,
-    /// Folding per-shard spools into merged aggregates.
-    SpoolMerge = 4,
 }
 
 /// Stable names for the phase buckets, in `Phase` discriminant order.
-pub const PHASE_NAMES: [&str; 5] =
-    ["stream_gen", "probe_fill", "controller", "runcache_io", "spool_merge"];
+pub const PHASE_NAMES: [&str; 4] = ["stream_gen", "probe_fill", "controller", "runcache_io"];
 
-static PHASE_NS: [AtomicU64; 5] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static SIM_ACCESSES: AtomicU64 = AtomicU64::new(0);
+static PHASE_NS: [AtomicU64; 4] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 static TIMING: AtomicBool = AtomicBool::new(false);
 
 /// Turns the phase timers on for the rest of the process. `reproduce`
@@ -118,18 +40,11 @@ pub fn enable_phase_timers() {
     TIMING.store(true, Ordering::Release);
 }
 
-/// Whether phase timers are collecting. One relaxed load — the hot-path
-/// fast gate.
-#[inline]
-pub fn phase_timing() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
-
-/// Starts a phase measurement. Returns `None` (and costs one atomic
-/// load) when timers are off.
+/// Starts a phase measurement. Returns `None` (and costs one relaxed
+/// atomic load — the hot-path fast gate) when timers are off.
 #[inline]
 pub fn phase_begin() -> Option<Instant> {
-    if phase_timing() {
+    if TIMING.load(Ordering::Relaxed) {
         Some(Instant::now())
     } else {
         None
@@ -141,26 +56,8 @@ pub fn phase_begin() -> Option<Instant> {
 #[inline]
 pub fn phase_add(phase: Phase, started: Option<Instant>) {
     if let Some(t0) = started {
-        phase_add_ns(phase, t0.elapsed().as_nanos() as u64);
+        PHASE_NS[phase as usize].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
-}
-
-/// Credits a raw nanosecond count to `phase`.
-#[inline]
-pub fn phase_add_ns(phase: Phase, ns: u64) {
-    PHASE_NS[phase as usize].fetch_add(ns, Ordering::Relaxed);
-}
-
-/// Counts simulated accesses processed (batched: one call per refill).
-/// Callers gate on [`phase_timing`] so the default hot path is untouched.
-#[inline]
-pub fn count_sim_accesses(n: u64) {
-    SIM_ACCESSES.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total simulated accesses counted while timers were on.
-pub fn sim_accesses() -> u64 {
-    SIM_ACCESSES.load(Ordering::Relaxed)
 }
 
 /// Snapshot of the per-phase accumulators as `(name, nanoseconds)` in
@@ -173,200 +70,10 @@ pub fn phase_snapshot() -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-// ---------------------------------------------------------- heartbeat state
-
-static STAGE: OnceLock<Mutex<String>> = OnceLock::new();
-/// f64 bit pattern of the ns/access EWMA; 0 = no estimate yet.
-static NS_PER_ACCESS_BITS: AtomicU64 = AtomicU64::new(0);
-
-fn stage_slot() -> &'static Mutex<String> {
-    STAGE.get_or_init(|| Mutex::new(String::new()))
-}
-
-/// Sets the human-readable pipeline stage ("fig12", "merge", ...) shown
-/// in this worker's heartbeat.
-pub fn set_stage(stage: &str) {
-    *stage_slot().lock().expect("progress stage lock") = stage.to_string();
-}
-
-fn current_stage() -> String {
-    stage_slot().lock().expect("progress stage lock").clone()
-}
-
-/// The current ns/access EWMA, if the heartbeat thread has formed one.
-pub fn ns_per_access() -> Option<f64> {
-    let bits = NS_PER_ACCESS_BITS.load(Ordering::Relaxed);
-    if bits == 0 {
-        None
-    } else {
-        Some(f64::from_bits(bits))
-    }
-}
-
-/// Milliseconds since the Unix epoch — the heartbeat's staleness basis.
-/// Harness-side only; the two-clock rule (§ crate docs) is untouched.
-pub fn unix_now_ms() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders one `"record":"status"` heartbeat snapshot of the process-wide
-/// progress state. The key set matches `schema::STATUS_KEYS` exactly so
-/// heartbeats validate both standalone and mixed into JSONL traces.
-pub fn snapshot_json(worker: &str, done: bool) -> String {
-    let ns = match ns_per_access() {
-        Some(v) => fmt_f64(v),
-        None => "null".to_string(),
-    };
-    format!(
-        concat!(
-            "{{\"record\":\"status\",\"worker\":\"{}\",\"phase\":\"{}\",",
-            "\"runs_done\":{},\"runs_total\":{},\"mem_hits\":{},\"disk_hits\":{},",
-            "\"misses\":{},\"waits\":{},\"takeovers\":{},\"claims_held\":{},",
-            "\"ns_per_access\":{},\"done\":{},\"at_unix_ms\":{}}}"
-        ),
-        worker,
-        current_stage(),
-        RUNS_DONE.load(Ordering::Relaxed),
-        RUNS_SEEN.load(Ordering::Relaxed),
-        MEM_HITS.load(Ordering::Relaxed),
-        DISK_HITS.load(Ordering::Relaxed),
-        MISSES.load(Ordering::Relaxed),
-        WAITS.load(Ordering::Relaxed),
-        TAKEOVERS.load(Ordering::Relaxed),
-        CLAIMS_HELD.load(Ordering::Relaxed).max(0),
-        ns,
-        done,
-        unix_now_ms(),
-    )
-}
-
-/// Atomically replaces `path` with a fresh heartbeat snapshot: write to a
-/// pid-suffixed sibling, then rename. A concurrent reader sees either the
-/// previous complete snapshot or the new one, never a torn file.
-pub fn write_snapshot(path: &Path, worker: &str, done: bool) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, snapshot_json(worker, done))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// A running heartbeat writer. Dropping (or calling [`Heartbeat::finish`])
-/// stops the thread and writes one final `done: true` snapshot so fleet
-/// scans can tell a clean exit from a stall.
-pub struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-    path: PathBuf,
-    worker: String,
-}
-
-impl Heartbeat {
-    /// Stops the writer thread and stamps the final snapshot.
-    pub fn finish(mut self) {
-        self.shutdown();
-    }
-
-    /// The heartbeat file this writer maintains.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        let _ = write_snapshot(&self.path, &self.worker, true);
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        if self.thread.is_some() {
-            self.shutdown();
-        }
-    }
-}
-
-/// Starts the heartbeat writer: creates `dir`, writes an immediate
-/// snapshot to `dir/status.json`, then refreshes it every `interval`
-/// from a background thread. The thread also folds the phase-timer
-/// deltas into the ns/access EWMA. When no run directory exists the
-/// caller simply never starts a heartbeat — zero cost.
-pub fn start_heartbeat(dir: &Path, worker: &str, interval: Duration) -> io::Result<Heartbeat> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("status.json");
-    write_snapshot(&path, worker, false)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let stop = Arc::clone(&stop);
-        let path = path.clone();
-        let worker = worker.to_string();
-        thread::Builder::new().name("heartbeat".into()).spawn(move || {
-            let mut last_sim_ns = sim_time_ns();
-            let mut last_accesses = sim_accesses();
-            while !stop.load(Ordering::Acquire) {
-                // Sleep in short slices so shutdown is prompt even with
-                // multi-second intervals.
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    thread::sleep(Duration::from_millis(25).min(interval));
-                }
-                let sim_ns = sim_time_ns();
-                let accesses = sim_accesses();
-                update_ewma(sim_ns - last_sim_ns, accesses - last_accesses);
-                last_sim_ns = sim_ns;
-                last_accesses = accesses;
-                let _ = write_snapshot(&path, &worker, false);
-            }
-        })?
-    };
-    Ok(Heartbeat { stop, thread: Some(thread), path, worker: worker.to_string() })
-}
-
-fn sim_time_ns() -> u64 {
-    PHASE_NS[Phase::StreamGen as usize].load(Ordering::Relaxed)
-        + PHASE_NS[Phase::ProbeFill as usize].load(Ordering::Relaxed)
-}
-
-/// Folds one heartbeat-interval's simulated-time delta into the EWMA.
-/// alpha = 0.3: responsive enough to track warm/cold transitions, smooth
-/// enough to ignore single slow intervals.
-fn update_ewma(delta_ns: u64, delta_accesses: u64) {
-    if delta_accesses == 0 {
-        return;
-    }
-    let inst = delta_ns as f64 / delta_accesses as f64;
-    let next = match ns_per_access() {
-        Some(prev) => 0.3 * inst + 0.7 * prev,
-        None => inst,
-    };
-    NS_PER_ACCESS_BITS.store(next.to_bits(), Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::validate_line;
-
-    #[test]
-    fn snapshot_is_valid_schema_record() {
-        set_stage("unit");
-        let line = snapshot_json("9-of-9", false);
-        validate_line(&line).expect("heartbeat snapshot must validate");
-        assert!(line.contains("\"worker\":\"9-of-9\""));
-        assert!(line.contains("\"done\":false"));
-    }
+    use std::time::Duration;
 
     #[test]
     fn phase_accumulators_accumulate() {
@@ -374,64 +81,12 @@ mod tests {
         let t0 = phase_begin();
         assert!(t0.is_some());
         std::thread::sleep(Duration::from_millis(2));
-        phase_add(Phase::SpoolMerge, t0);
+        phase_add(Phase::RuncacheIo, t0);
         let ns = phase_snapshot()
             .iter()
-            .find(|(n, _)| *n == "spool_merge")
+            .find(|(n, _)| *n == "runcache_io")
             .map(|(_, ns)| *ns)
             .unwrap();
         assert!(ns >= 1_000_000, "2ms sleep must register, got {ns}ns");
-    }
-
-    #[test]
-    fn ewma_forms_and_smooths() {
-        update_ewma(1000, 10); // 100 ns/access
-        let first = ns_per_access().unwrap();
-        update_ewma(2000, 10); // 200 ns/access instant
-        let second = ns_per_access().unwrap();
-        assert!(second > first, "EWMA must move toward the new rate");
-        assert!(second < 200.0, "EWMA must smooth, not jump");
-    }
-
-    #[test]
-    fn readers_never_see_a_torn_snapshot() {
-        let dir = std::env::temp_dir().join(format!("waypart-hb-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("status.json");
-        write_snapshot(&path, "1-of-2", false).unwrap();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let (stop, path) = (Arc::clone(&stop), path.clone());
-            thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    write_snapshot(&path, "1-of-2", false).unwrap();
-                }
-            })
-        };
-        // Hammer reads against the writer: every observed file must be a
-        // complete, schema-valid snapshot (rename atomicity).
-        for _ in 0..2000 {
-            let text = std::fs::read_to_string(&path).unwrap();
-            validate_line(text.trim()).expect("read a torn or invalid heartbeat");
-        }
-        stop.store(true, Ordering::Release);
-        writer.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn heartbeat_thread_writes_and_finishes_done() {
-        let dir = std::env::temp_dir().join(format!("waypart-hb-run-{}", std::process::id()));
-        let hb = start_heartbeat(&dir, "2-of-2", Duration::from_millis(10)).unwrap();
-        let path = hb.path().to_path_buf();
-        thread::sleep(Duration::from_millis(50));
-        let live = std::fs::read_to_string(&path).unwrap();
-        assert!(live.contains("\"done\":false"));
-        hb.finish();
-        let fin = std::fs::read_to_string(&path).unwrap();
-        assert!(fin.contains("\"done\":true"), "finish must stamp done=true");
-        validate_line(fin.trim()).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,7 @@
 //!  "fields": {"raw_mpki": 12.3}}     // object of scalars (string/number/bool/null)
 //! ```
 //!
-//! — or an **aggregate record**, marked by a `record` key. Four record
+//! — or an **aggregate record**, marked by a `record` key. Three record
 //! types exist (key sets again exact). `series` and `hist` are produced
 //! by `sinks::SeriesSink`:
 //!
@@ -28,16 +28,9 @@
 //!  "buckets": [[245760, 1], [688128, 2], [1441792, 1]]}
 //! ```
 //!
-//! `status` is a worker heartbeat (`progress::snapshot_json`, written to
-//! each spool's `status.json` and legal mixed into traces), and `verdict`
-//! is a machine-readable sentry judgement (`sentry --json`):
+//! `verdict` is a machine-readable sentry judgement (`sentry --json`):
 //!
 //! ```json
-//! {"record": "status", "worker": "1-of-2", "phase": "fig12",
-//!  "runs_done": 3, "runs_total": 10, "mem_hits": 0, "disk_hits": 1,
-//!  "misses": 2, "waits": 0, "takeovers": 0, "claims_held": 1,
-//!  "ns_per_access": 99.4, "done": false, "at_unix_ms": 1754700000000}
-//!
 //! {"record": "verdict", "metric": "current_cold_s", "verdict": "pass",
 //!  "current": 1.2, "median": 1.1, "threshold": 1.4, "n": 5}
 //! ```
@@ -265,24 +258,6 @@ const SERIES_KEYS: [&str; 7] = ["record", "name", "tid", "clock", "stride", "tot
 /// The exact key set of a `{"record":"hist",...}` line.
 const HIST_KEYS: [&str; 10] =
     ["record", "name", "count", "sum", "min", "max", "p50", "p90", "p99", "buckets"];
-/// The exact key set of a `{"record":"status",...}` worker heartbeat
-/// (see `progress::snapshot_json`).
-const STATUS_KEYS: [&str; 14] = [
-    "record",
-    "worker",
-    "phase",
-    "runs_done",
-    "runs_total",
-    "mem_hits",
-    "disk_hits",
-    "misses",
-    "waits",
-    "takeovers",
-    "claims_held",
-    "ns_per_access",
-    "done",
-    "at_unix_ms",
-];
 /// The exact key set of a `{"record":"verdict",...}` line (`sentry --json`).
 const VERDICT_KEYS: [&str; 7] =
     ["record", "metric", "verdict", "current", "median", "threshold", "n"];
@@ -351,11 +326,10 @@ fn validate_record(v: &Json, fields: &[(String, Json)]) -> Result<(), String> {
     let required: &[&str] = match kind {
         "series" => &SERIES_KEYS,
         "hist" => &HIST_KEYS,
-        "status" => &STATUS_KEYS,
         "verdict" => &VERDICT_KEYS,
         _ => {
             return Err(format!(
-                "`record` must be \"series\", \"hist\", \"status\", or \"verdict\", got `{kind}`"
+                "`record` must be \"series\", \"hist\", or \"verdict\", got `{kind}`"
             ))
         }
     };
@@ -397,42 +371,6 @@ fn validate_record(v: &Json, fields: &[(String, Json)]) -> Result<(), String> {
             pair_array(v, "buckets", |second| {
                 matches!(second, Json::Num { value, is_int } if *is_int && *value >= 1.0)
             })
-        }
-        "status" => {
-            match v.get("worker") {
-                Some(Json::Str(s)) if !s.is_empty() => {}
-                _ => return Err("`worker` must be a non-empty string".into()),
-            }
-            match v.get("phase") {
-                Some(Json::Str(_)) => {}
-                other => return Err(format!("`phase` must be a string, got {other:?}")),
-            }
-            for key in [
-                "runs_done",
-                "runs_total",
-                "mem_hits",
-                "disk_hits",
-                "misses",
-                "waits",
-                "takeovers",
-                "claims_held",
-                "at_unix_ms",
-            ] {
-                non_neg_int(v, key)?;
-            }
-            match v.get("ns_per_access") {
-                Some(Json::Null) => {}
-                Some(Json::Num { value, .. }) if *value >= 0.0 => {}
-                other => {
-                    return Err(format!(
-                        "`ns_per_access` must be null or a non-negative number, got {other:?}"
-                    ))
-                }
-            }
-            match v.get("done") {
-                Some(Json::Bool(_)) => Ok(()),
-                other => Err(format!("`done` must be a boolean, got {other:?}")),
-            }
         }
         "verdict" => {
             match v.get("metric") {
@@ -567,15 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn status_and_verdict_records_validate() {
-        let status = "{\"record\":\"status\",\"worker\":\"1-of-2\",\"phase\":\"fig12\",\
-                      \"runs_done\":3,\"runs_total\":10,\"mem_hits\":0,\"disk_hits\":1,\
-                      \"misses\":2,\"waits\":0,\"takeovers\":0,\"claims_held\":1,\
-                      \"ns_per_access\":99.4,\"done\":false,\"at_unix_ms\":1754700000000}";
-        validate_line(status).expect("status record");
-        // ns_per_access is nullable (no estimate yet).
-        let no_rate = status.replace("99.4", "null");
-        validate_line(&no_rate).expect("status record with null rate");
+    fn verdict_records_validate() {
         let verdict = "{\"record\":\"verdict\",\"metric\":\"current_cold_s\",\
                        \"verdict\":\"pass\",\"current\":1.2,\"median\":1.1,\
                        \"threshold\":1.4,\"n\":5}";
@@ -584,25 +514,19 @@ mod tests {
                     \"verdict\":\"insufficient_history\",\"current\":1.2,\
                     \"median\":null,\"threshold\":null,\"n\":1}";
         validate_line(skip).expect("insufficient-history verdict");
-        // Heartbeats and verdicts may be mixed into event traces.
+        // Verdicts may be mixed into event traces.
         let ev = Event::instant("a.b", Stamp::WallUs(1)).to_jsonl();
-        assert_eq!(validate_jsonl(&format!("{ev}\n{status}\n{verdict}\n")), Ok(3));
+        assert_eq!(validate_jsonl(&format!("{ev}\n{verdict}\n{skip}\n")), Ok(3));
     }
 
     #[test]
-    fn rejects_bad_status_and_verdict_records() {
-        // done must be a boolean.
-        let torn = "{\"record\":\"status\",\"worker\":\"1-of-2\",\"phase\":\"\",\
-                    \"runs_done\":0,\"runs_total\":0,\"mem_hits\":0,\"disk_hits\":0,\
-                    \"misses\":0,\"waits\":0,\"takeovers\":0,\"claims_held\":0,\
-                    \"ns_per_access\":null,\"done\":\"yes\",\"at_unix_ms\":1}";
-        assert!(validate_line(torn).unwrap_err().contains("`done`"));
+    fn rejects_bad_verdict_records() {
         // Unknown verdict value.
         let odd = "{\"record\":\"verdict\",\"metric\":\"x\",\"verdict\":\"meh\",\
                    \"current\":null,\"median\":null,\"threshold\":null,\"n\":0}";
         assert!(validate_line(odd).unwrap_err().contains("`verdict`"));
         // Missing key.
-        assert!(validate_line("{\"record\":\"status\",\"worker\":\"w\"}")
+        assert!(validate_line("{\"record\":\"verdict\",\"metric\":\"x\"}")
             .unwrap_err()
             .contains("missing required key"));
     }
@@ -611,7 +535,7 @@ mod tests {
     fn rejects_bad_records() {
         assert!(validate_line("{\"record\":\"blob\",\"name\":\"x\"}")
             .unwrap_err()
-            .contains("\"series\", \"hist\", \"status\", or \"verdict\""));
+            .contains("\"series\", \"hist\", or \"verdict\""));
         // Missing key.
         let err = validate_line(
             "{\"record\":\"series\",\"name\":\"x\",\"tid\":0,\"clock\":\"cycles\",\

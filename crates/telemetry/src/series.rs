@@ -87,79 +87,6 @@ impl TimeSeries {
         }
     }
 
-    /// Rebuilds a series from its serialized parts — the inverse of
-    /// [`Self::to_json_record`], used by [`crate::merge`] to fold
-    /// per-shard traces. `clock` must be a schema clock name (`"cycles"`
-    /// or `"wall_us"`); `capacity` bounds the rebuilt series as usual.
-    pub fn from_parts(
-        capacity: usize,
-        clock: &'static str,
-        stride: u64,
-        total: u64,
-        points: Vec<(u64, f64)>,
-    ) -> TimeSeries {
-        let mut s = TimeSeries::new(capacity.max(points.len().next_multiple_of(2)));
-        s.clock = Some(clock);
-        s.stride = stride.max(1);
-        s.total = total;
-        s.points = points;
-        s
-    }
-
-    /// Folds `other`'s stored points into `self`, interleaved by
-    /// timestamp (stable: on ties `self`'s points come first). Totals
-    /// add; the merged stride is the coarser of the two, doubling again
-    /// whenever the merged point set must halve to respect `self`'s
-    /// capacity — so merging N shards' series stays O(capacity) like
-    /// recording them into one sink would have. A clock mismatch drops
-    /// `other` entirely and counts one mismatch, enforcing the two-clock
-    /// rule at the merge layer too.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        self.clock_mismatches += other.clock_mismatches;
-        if other.points.is_empty() && other.total == 0 {
-            return;
-        }
-        match (self.clock, other.clock) {
-            (Some(a), Some(b)) if a != b => {
-                self.clock_mismatches += 1;
-                return;
-            }
-            (None, b) => self.clock = b,
-            _ => {}
-        }
-        let mut merged = Vec::with_capacity(self.points.len() + other.points.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.points.len() || j < other.points.len() {
-            let take_self = j >= other.points.len()
-                || (i < self.points.len() && self.points[i].0 <= other.points[j].0);
-            if take_self {
-                merged.push(self.points[i]);
-                i += 1;
-            } else {
-                merged.push(other.points[j]);
-                j += 1;
-            }
-        }
-        let mut stride = self.stride.max(other.stride);
-        while merged.len() > self.capacity {
-            // Same halving rule as overflow: earlier timestamp survives,
-            // values average; an odd trailing point survives unpaired.
-            let mut halved = Vec::with_capacity(merged.len() / 2 + 1);
-            for pair in merged.chunks(2) {
-                if pair.len() == 2 {
-                    halved.push((pair[0].0, (pair[0].1 + pair[1].1) / 2.0));
-                } else {
-                    halved.push(pair[0]);
-                }
-            }
-            merged = halved;
-            stride *= 2;
-        }
-        self.points = merged;
-        self.stride = stride;
-        self.total += other.total;
-    }
-
     /// The stored `(ticks, value)` points, oldest first.
     pub fn points(&self) -> &[(u64, f64)] {
         &self.points
@@ -374,77 +301,6 @@ mod tests {
     fn regime_transitions_edge_cases() {
         assert_eq!(regime_transitions([], 5.0, 2), 0);
         assert_eq!(regime_transitions([9.0], 5.0, 1), 0, "single sample cannot transition");
-    }
-
-    #[test]
-    fn merge_interleaves_by_timestamp_and_adds_totals() {
-        let mut a = TimeSeries::new(16);
-        let mut b = TimeSeries::new(16);
-        for i in 0..4u64 {
-            a.push(Stamp::Cycles(i * 2), i as f64); // ts 0,2,4,6
-            b.push(Stamp::Cycles(i * 2 + 1), 10.0 + i as f64); // ts 1,3,5,7
-        }
-        a.merge(&b);
-        let ts: Vec<u64> = a.points().iter().map(|p| p.0).collect();
-        assert_eq!(ts, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(a.total(), 8);
-        assert_eq!(a.stride(), 1);
-    }
-
-    #[test]
-    fn merge_respects_capacity_by_halving() {
-        let mut a = TimeSeries::new(4);
-        let mut b = TimeSeries::new(4);
-        for i in 0..3u64 {
-            a.push(Stamp::WallUs(i * 10), 1.0);
-            b.push(Stamp::WallUs(i * 10 + 5), 3.0);
-        }
-        a.merge(&b);
-        assert!(a.len() <= a.capacity());
-        assert_eq!(a.total(), 6);
-        assert!(a.stride() > 1, "halving must coarsen the stride");
-        assert!((a.mean() - 2.0).abs() < 1e-9, "averaging preserves the mean");
-    }
-
-    #[test]
-    fn merge_clock_mismatch_drops_other() {
-        let mut a = TimeSeries::new(4);
-        a.push(Stamp::Cycles(1), 1.0);
-        let mut b = TimeSeries::new(4);
-        b.push(Stamp::WallUs(2), 2.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.total(), 1);
-        assert_eq!(a.clock_mismatches(), 1);
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_clock() {
-        let mut a = TimeSeries::new(8);
-        let mut b = TimeSeries::new(8);
-        b.push(Stamp::WallUs(3), 7.0);
-        a.merge(&b);
-        assert_eq!(a.clock_name(), Some("wall_us"));
-        assert_eq!(a.points(), &[(3, 7.0)]);
-        assert_eq!(a.total(), 1);
-    }
-
-    #[test]
-    fn from_parts_roundtrips_record_fields() {
-        let mut s = TimeSeries::new(8);
-        for i in 0..5u64 {
-            s.push(Stamp::Cycles(i), i as f64);
-        }
-        let rebuilt = TimeSeries::from_parts(
-            s.capacity(),
-            "cycles",
-            s.stride(),
-            s.total(),
-            s.points().to_vec(),
-        );
-        assert_eq!(rebuilt.points(), s.points());
-        assert_eq!(rebuilt.total(), s.total());
-        assert_eq!(rebuilt.to_json_record("x", 0), s.to_json_record("x", 0));
     }
 
     #[test]

@@ -5,15 +5,9 @@
 # single runs: it alternates baseline/current (A B A B ...) and reports
 # medians. Each cold run gets a fresh (empty) run-cache directory; a
 # final warm run reuses the current binary's populated cache to show the
-# persistent-cache effect separately. A sharded cold run (`--jobs N`,
-# N = min(nproc, 4), override with BENCH_JOBS) measures the multi-process
-# worker protocol and records `shards` / `sharded_cold_s` /
-# `shard_speedup` plus two honest efficiency numbers: busy-based
-# (worker busy-time balance, scraped from the merge summary) and
-# wall-clock-based (single-process cold time / (workers x fleet wall
-# time) — the one that drops below 1 when workers time-slice a shared
-# host). A sampled-fidelity cold run times the functional-warming fast
-# path end to end and records `sampled_cold_s`. A controller-arena pair
+# persistent-cache effect separately. A sampled-fidelity cold run times
+# the functional-warming fast path end to end and records
+# `sampled_cold_s`. A controller-arena pair
 # (cold fill + warm cache replay, byte-identical arena.json required)
 # records `arena_cold_s` / `arena_warm_s`.
 #
@@ -119,39 +113,6 @@ else
   FIG_SECONDS=null   # older binary without --metrics
 fi
 
-# Sharded cold run: fork worker processes over a fresh shared cache and
-# merge (DESIGN.md §5f). Timed once (not interleaved) — the sentry's
-# noise band absorbs jitter across sessions. The merged artifacts must be
-# byte-identical to the single-process run; the parallel efficiency is
-# scraped from the coordinator's merge summary. On hosts with fewer
-# cores than workers the speedup honestly reports <1.
-JOBS=${BENCH_JOBS:-$(nproc)}
-[ "$JOBS" -gt 4 ] && JOBS=4
-[ "$JOBS" -lt 2 ] && JOBS=2
-if "$CURRENT_BIN" --help 2>/dev/null | grep -q -- --jobs; then
-  echo "== sharded cold run (--jobs $JOBS) =="
-  t0=$(date +%s.%N)
-  WAYPART_CACHE_DIR=$SCRATCH/shardcache "$CURRENT_BIN" --scale test --jobs "$JOBS" \
-    --out "$SCRATCH/sharded" > "$SCRATCH/sharded.log" 2>&1
-  t1=$(date +%s.%N)
-  SHARDED_COLD=$(echo "$t0 $t1" | awk '{printf "%.2f", $2-$1}')
-  diff -r "$SCRATCH/curr_1" "$SCRATCH/sharded" >/dev/null \
-    || { echo "FAIL: sharded artifacts differ from single-process run" >&2; exit 1; }
-  PAR_EFF_BUSY=$(sed -n 's/.*busy parallel efficiency \([0-9.]*\).*/\1/p' "$SCRATCH/sharded.log" | tail -1)
-  [ -n "$PAR_EFF_BUSY" ] || PAR_EFF_BUSY=null
-  SHARD_SPEEDUP=$(awk -v c="$COLD" -v s="$SHARDED_COLD" 'BEGIN {printf "%.3f", c/s}')
-  # Wall-clock efficiency: the busy-based number from the merge summary
-  # only sees worker imbalance; dividing the actual speedup by the
-  # worker count also charges time-slicing on an oversubscribed host.
-  PAR_EFF_WALL=$(awk -v s="$SHARD_SPEEDUP" -v j="$JOBS" 'BEGIN {printf "%.3f", s/j}')
-  echo "sharded cold: ${SHARDED_COLD}s with $JOBS workers" \
-       "(${SHARD_SPEEDUP}x vs single-process cold ${COLD}s," \
-       "busy efficiency $PAR_EFF_BUSY, wall-clock efficiency $PAR_EFF_WALL)"
-  echo "sharded artifacts byte-identical to single-process run"
-else
-  JOBS=null SHARDED_COLD=null SHARD_SPEEDUP=null PAR_EFF_BUSY=null PAR_EFF_WALL=null  # pre-sharding binary
-fi
-
 # Sampled-fidelity cold run: the functional-warming fast path end to
 # end against a fresh cache. Kept out of the interleaved loop — it
 # writes different artifacts (results/<scale>-sampled layout) and is
@@ -217,11 +178,6 @@ jq -n \
   --argjson cold_speedup "$COLD_SPEEDUP" \
   --argjson ns_per_access "$NS_PER_ACCESS" \
   --argjson figure_seconds "$FIG_SECONDS" \
-  --argjson shards "$JOBS" \
-  --argjson sharded_cold_s "$SHARDED_COLD" \
-  --argjson shard_speedup "$SHARD_SPEEDUP" \
-  --argjson parallel_efficiency_busy "$PAR_EFF_BUSY" \
-  --argjson parallel_efficiency_wall "$PAR_EFF_WALL" \
   --argjson host_cores "$(nproc 2>/dev/null || echo 0)" \
   --argjson sampled_cold_s "$SAMPLED_COLD" \
   --argjson arena_cold_s "$ARENA_COLD" \
@@ -230,9 +186,6 @@ jq -n \
     runs: $runs, baseline_median_s: $baseline_median_s, current_median_s: $current_median_s,
     current_cold_s: $current_cold_s, speedup: $speedup, cold_speedup: $cold_speedup,
     engine_ns_per_access: $ns_per_access, figure_seconds_warm: $figure_seconds,
-    shards: $shards, sharded_cold_s: $sharded_cold_s, shard_speedup: $shard_speedup,
-    parallel_efficiency_busy: $parallel_efficiency_busy,
-    parallel_efficiency_wall: $parallel_efficiency_wall,
     host_cores: $host_cores, sampled_cold_s: $sampled_cold_s,
     arena_cold_s: $arena_cold_s, arena_warm_s: $arena_warm_s}' > "$OUT"
 echo "wrote $OUT:"

@@ -49,16 +49,14 @@ cargo build --release --workspace
 echo "== unit tests =="
 cargo test --release --workspace --lib -q
 
-echo "== determinism + goldens + sharding =="
+echo "== determinism + goldens =="
 # Every golden file runs here, including the two the schema check above
 # reads beside golden_fingerprint (controller_golden also pins the
-# controllers' decision telemetry), the rendered arena and trend pages,
-# and the sharded fig12's byte identity. The telemetry crate's own
-# integration tests (histogram properties, truncated-trace validation)
-# run with its unit tests.
+# controllers' decision telemetry) and the rendered arena and trend
+# pages. The telemetry crate's own integration tests (histogram
+# properties, truncated-trace validation) run with its unit tests.
 cargo test --release --test determinism --test golden_fingerprint --test invariants \
-  --test controller_golden --test run_kind_golden --test arena_golden --test trend_golden \
-  --test sharded_reproduce -q
+  --test controller_golden --test run_kind_golden --test arena_golden --test trend_golden -q
 cargo test --release -p waypart-telemetry --tests -q
 
 echo "== batched engine: scalar-oracle equivalence + sampled fidelity bounds =="
@@ -157,27 +155,23 @@ grep -q ", 168 memo-served)" "$TRACE_DIR/memo.txt" \
   || { echo "FAIL: cold fig6 did not memo-serve 168 runs: $(grep 'run cache:' "$TRACE_DIR/memo.txt")" >&2; exit 1; }
 echo "fig6 byte-identical to golden; 168 duplicate runs memo-served"
 
-echo "== sharded reproduce smoke (2 workers, merged vs committed goldens) =="
-# The coordinator forks two shard workers over a fresh shared cache
-# (DESIGN.md §5f), then replays the warm cache to render the artifacts.
-# Determinism of the protocol means the merged output must be
-# byte-identical to the committed single-process golden, and malformed
-# shard specs must be usage errors, never silent full runs.
-WAYPART_CACHE_DIR="$TRACE_DIR/shardcache" \
+echo "== run cache: cold fig12 byte-identical, cache dir holds only entries =="
+# A cold fig12 over a fresh persistent cache must match the committed
+# golden and leave nothing in the cache directory but `<hash>.json`
+# entries (no temp files, no subdirectories).
+WAYPART_CACHE_DIR="$TRACE_DIR/cache12" \
   cargo run --release -p waypart-experiments --bin reproduce -- \
-  --scale test --jobs 2 --out "$TRACE_DIR/sharded" fig12 >/dev/null
-diff "$TRACE_DIR/sharded/fig12.txt" results/test/fig12.txt \
-  || { echo "FAIL: 2-worker sharded fig12 differs from the committed golden" >&2; exit 1; }
-[ -s "$TRACE_DIR/shardcache/spool/merged_trace.jsonl" ] \
-  || { echo "FAIL: sharded run left no merged trace" >&2; exit 1; }
-cargo run --release -p waypart-telemetry --bin validate_trace -- \
-  "$TRACE_DIR/shardcache/spool/merged_trace.jsonl"
-for bad in 0/4 5/4 k/0 garbage; do
-  if cargo run --release -p waypart-experiments --bin reproduce -- \
-      --scale test --shard "$bad" fig12 >/dev/null 2>&1; then
-    echo "FAIL: reproduce accepted malformed --shard $bad" >&2; exit 1
-  fi
-done
+  --scale test --out "$TRACE_DIR/cold12" fig12 >/dev/null
+diff "$TRACE_DIR/cold12/fig12.txt" results/test/fig12.txt \
+  || { echo "FAIL: cold fig12 differs from the committed golden" >&2; exit 1; }
+[ -n "$(ls -A "$TRACE_DIR/cache12")" ] \
+  || { echo "FAIL: cold fig12 wrote no cache entries" >&2; exit 1; }
+STRAY=$(ls -A "$TRACE_DIR/cache12" | grep -vE '^[0-9a-f]{16}\.json$' || true)
+[ -z "$STRAY" ] \
+  || { echo "FAIL: the cache directory holds non-entry files: $STRAY" >&2; exit 1; }
+echo "fig12 byte-identical to golden; cache dir holds only entries"
+
+echo "== CLI input checks (valueless flags, bad arguments, unwritable outputs) =="
 # A flag given without its value is a usage error (exit 2), never a panic.
 for flag in --scale --fidelity --out --trace --metrics; do
   CODE=0
@@ -187,10 +181,12 @@ for flag in --scale --fidelity --out --trace --metrics; do
 done
 # So is a bad value, an unknown artifact or a misspelled flag: each must
 # exit 2, never panic, run nothing, or silently drop the argument.
-# `sampled-cold` and the three-part `sampled:D:S` are removed forms.
+# `sampled-cold`, the three-part `sampled:D:S`, `--jobs`, `--shard` and
+# `--merge` are removed forms.
 for args in "--scale bogus" "--fidelity bogus" "--fidelity sampled:x:3" "--fidelity sampled:0:3" \
     "--fidelity sampled-cold" "--fidelity sampled:1:3" "--fidelity sampled:x" \
-    "--out /dev/null/x fig12" "fig99" "--sacle test fig5"; do
+    "--out /dev/null/x fig12" "fig99" "--sacle test fig5" \
+    "--jobs 2 fig12" "--shard 1/2 fig12" "--merge fig12"; do
   CODE=0
   # shellcheck disable=SC2086 # each case splits into its arguments on purpose
   cargo run --release -p waypart-experiments --bin reproduce -- $args >/dev/null 2>&1 || CODE=$?
@@ -228,7 +224,16 @@ for flag in --trace --metrics --history --arena --verdicts --out --check; do
   [ "$CODE" -eq 2 ] \
     || { echo "FAIL: report $flag without a value exited $CODE, want 2" >&2; exit 1; }
 done
-echo "sharded fig12 byte-identical to golden; malformed specs, valueless flags, bad arguments and unwritable outputs rejected; unwritable artifact reported"
+# `probe` takes app names and a trace path, never flags: any `-` argument
+# exits 2 before anything runs, so a stale flag cannot run a whole grid.
+for args in "fig11 --bogus" "fig11 --shard 1/2"; do
+  CODE=0
+  # shellcheck disable=SC2086 # each case splits into its arguments on purpose
+  cargo run --release -p waypart-experiments --bin probe -- $args >/dev/null 2>&1 || CODE=$?
+  [ "$CODE" -eq 2 ] \
+    || { echo "FAIL: probe $args exited $CODE, want 2" >&2; exit 1; }
+done
+echo "valueless flags, bad arguments and unwritable outputs rejected; unwritable artifact reported"
 
 echo "== sampled reproduce smoke (default 1:3 schedule; error bars printed and bounded) =="
 # End-to-end: `--fidelity sampled` (the default 1:3 functional-warming
@@ -312,84 +317,24 @@ if [ -s BENCH_history.jsonl ]; then
   cargo run --release -p waypart-bench --bin sentry -- --history BENCH_history.jsonl
 fi
 
-echo "== fleet observability (heartbeats, stall detection, merge refusal, trend) =="
-# Two real shard workers over a scratch cache. While both are live the
-# status table must show per-worker progress and `--merge` must refuse;
-# a kill -9'd worker must be flagged STALLED from its heartbeat age
-# (long before the 120 s claim-takeover grace); and the machine-readable
-# paths (status --html, merged history, sentry --json, trend page) must
-# all validate. The workers run the *full* figure list (cold: minutes
-# of work) so the live-fleet window is deterministic — a fig12-only
-# fleet can finish inside the startup sleep and flake the RUNNING
-# assertion. Both workers are killed at the end of the stage, so the
-# extra work costs no CI time.
-FLEET_CACHE="$TRACE_DIR/fleetcache"
-WAYPART_CACHE_DIR="$FLEET_CACHE" cargo run --release -p waypart-experiments --bin reproduce -- \
-  --scale test --shard 1/2 all >/dev/null 2>&1 &
-W1=$!
-WAYPART_CACHE_DIR="$FLEET_CACHE" cargo run --release -p waypart-experiments --bin reproduce -- \
-  --scale test --shard 2/2 all >/dev/null 2>&1 &
-W2=$!
-sleep 5   # first heartbeat snapshots are immediate; allow for cargo-run startup
-cargo run --release -p waypart-experiments --bin status -- \
-  --cache "$FLEET_CACHE" | tee "$TRACE_DIR/status_live.txt"
-grep -q "1-of-2" "$TRACE_DIR/status_live.txt" \
-  || { echo "FAIL: status does not list worker 1-of-2" >&2; exit 1; }
-grep -q "2-of-2" "$TRACE_DIR/status_live.txt" \
-  || { echo "FAIL: status does not list worker 2-of-2" >&2; exit 1; }
-grep -q "RUNNING" "$TRACE_DIR/status_live.txt" \
-  || { echo "FAIL: status shows no RUNNING worker during a live fleet" >&2; exit 1; }
-if WAYPART_CACHE_DIR="$FLEET_CACHE" cargo run --release -p waypart-experiments \
-    --bin reproduce -- --scale test --merge fig12 >/dev/null 2>&1; then
-  echo "FAIL: --merge did not refuse while the fleet was live" >&2; exit 1
-fi
-kill -9 "$W2" 2>/dev/null || true
-sleep 3   # let the dead worker's heartbeat age past the tightened threshold
-cargo run --release -p waypart-experiments --bin status -- \
-  --cache "$FLEET_CACHE" --stale-secs 2 --html "$TRACE_DIR/fleet.html" \
-  | tee "$TRACE_DIR/status_dead.txt"
-grep -q "STALLED" "$TRACE_DIR/status_dead.txt" \
-  || { echo "FAIL: killed worker not flagged STALLED" >&2; exit 1; }
-cargo run --release -p waypart-experiments --bin report -- --check "$TRACE_DIR/fleet.html"
-kill -9 "$W1" 2>/dev/null || true
-wait "$W1" "$W2" 2>/dev/null || true
-# A corrupt heartbeat must be a loud, nonzero, path-naming error.
-printf '{"record":"status","worker"' > "$FLEET_CACHE/spool/1-of-2/status.json"
-if cargo run --release -p waypart-experiments --bin status -- \
-    --cache "$FLEET_CACHE" >/dev/null 2>"$TRACE_DIR/status_err.txt"; then
-  echo "FAIL: status accepted a malformed heartbeat" >&2; exit 1
-fi
-grep -q "status.json" "$TRACE_DIR/status_err.txt" \
-  || { echo "FAIL: malformed-heartbeat error does not name the file" >&2; exit 1; }
-# The completed --jobs 2 fleet from the sharded stage: merged history
-# must exist (per-shard sessions + coordinator entry) and feed both the
-# sentry and the trend page.
-[ -s "$TRACE_DIR/shardcache/spool/merged_history.jsonl" ] \
-  || { echo "FAIL: sharded run left no merged history" >&2; exit 1; }
-grep -q "sharded_cold_s" "$TRACE_DIR/shardcache/spool/merged_history.jsonl" \
-  || { echo "FAIL: merged history lacks the coordinator entry" >&2; exit 1; }
+echo "== trend page (sentry verdicts, deduped history) =="
 # sentry --json round-trip: verdict records validate and annotate the
-# trend page rendered from the committed benchmark history.
+# trend page rendered from the committed benchmark history. Repeated
+# --history files concatenate deduped by session id, so passing the
+# committed history twice must not inflate the session count.
 cargo run --release -p waypart-bench --bin sentry -- \
   --history "$SENTRY_HIST" --current "$TRACE_DIR/jitter.json" \
   --json "$TRACE_DIR/verdicts.jsonl" >/dev/null
 cargo run --release -p waypart-telemetry --bin validate_trace -- "$TRACE_DIR/verdicts.jsonl"
-# Multiple --history files concatenate deduped by session id, so the
-# fleet's merged history joins the committed sessions on one page.
 cargo run --release -p waypart-experiments --bin report -- \
-  --history BENCH_history.jsonl \
-  --history "$TRACE_DIR/shardcache/spool/merged_history.jsonl" \
-  --history "$TRACE_DIR/shardcache/spool/merged_history.jsonl" \
+  --history BENCH_history.jsonl --history BENCH_history.jsonl \
   --verdicts "$TRACE_DIR/verdicts.jsonl" \
   --out "$TRACE_DIR/trend.html" | tee "$TRACE_DIR/trend_out.txt"
 cargo run --release -p waypart-experiments --bin report -- --check "$TRACE_DIR/trend.html"
-# The duplicated third --history must not inflate the session count.
-COMMITTED=$(wc -l < BENCH_history.jsonl)
-MERGED=$(wc -l < "$TRACE_DIR/shardcache/spool/merged_history.jsonl")
-WANT=$((COMMITTED + MERGED))
+WANT=$(wc -l < BENCH_history.jsonl)
 grep -q "$WANT sessions" "$TRACE_DIR/trend_out.txt" \
   || { echo "FAIL: trend page did not dedupe repeated history files (want $WANT sessions)" >&2; exit 1; }
-echo "fleet observability OK (live scan, merge refusal, stall flag, deduped trend page)"
+echo "trend page OK (verdicts validated, repeated history deduped)"
 
 echo "== bench smoke (engine throughput, 2 iterations) =="
 cargo build --release --example profile_engine
