@@ -190,7 +190,6 @@ impl Controller for DynamicPartitioner {
     /// change additionally emits `dyn.realloc` and then `ctl.explain` —
     /// together a machine-readable version of the paper's Fig 12 way trace.
     fn observe_window(&mut self, w: &mut WindowView<'_>) -> Option<(WayMask, WayMask)> {
-        let phase_t0 = telemetry::progress::phase_begin();
         let current_mpki = self.smooth(w.raw_mpki);
         let event = self.detector.observe(current_mpki);
         // |dMPKI| against the previous window; 0 on the first, which
@@ -210,7 +209,7 @@ impl Controller for DynamicPartitioner {
                 .field("reclaiming", self.reclaiming)
                 .field("realloc", changed)
         });
-        let result = match trigger {
+        match trigger {
             Some(trigger) if changed => {
                 self.reallocations += 1;
                 telemetry::emit_with(|| {
@@ -224,9 +223,7 @@ impl Controller for DynamicPartitioner {
                 Some(Controller::masks(self))
             }
             _ => None,
-        };
-        telemetry::progress::phase_add(telemetry::progress::Phase::Controller, phase_t0);
-        result
+        }
     }
 
     fn reallocations(&self) -> u64 {

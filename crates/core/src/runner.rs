@@ -47,26 +47,24 @@ fn run_span_begin(kind: &'static str, fg: &AppSpec, bg: Option<&AppSpec>) {
     });
 }
 
-/// Closes the current run's `runner.run` span and, on telemetry builds,
-/// emits the hierarchy's per-level tallies as a `sim.tallies` summary.
+/// Closes the current run's `runner.run` span and emits the machine's
+/// per-level tallies as a `sim.tallies` summary and its latency
+/// histograms as one `sim.latency` summary per level — both folded from
+/// the run's detailed quanta.
 fn run_span_end(machine: &Machine, quanta: u64, reallocations: u64) {
     telemetry::emit_with(|| {
         Event::end("runner.run", Stamp::Cycles(machine.now()))
             .field("quanta", quanta)
             .field("reallocations", reallocations)
     });
-    #[cfg(feature = "telemetry")]
     telemetry::emit_with(|| {
-        let tallies = machine.tallies();
         let mut ev = Event::instant("sim.tallies", Stamp::Cycles(machine.now()));
-        for (key, value) in tallies.entries() {
+        for (key, value) in machine.tallies() {
             ev = ev.field(key, value);
         }
         ev
     });
-    // Per-level latency percentiles from the hierarchy's histograms.
     // Event fields are scalar-only, so each level gets its own instant.
-    #[cfg(feature = "telemetry")]
     for level in waypart_sim::hierarchy::HitLevel::all() {
         telemetry::emit_with(|| {
             let h = &machine.latency_hists()[level.index()];
@@ -81,8 +79,6 @@ fn run_span_end(machine: &Machine, quanta: u64, reallocations: u64) {
                 .field("mean", h.mean())
         });
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = machine;
 }
 
 /// Emits one `sim.occupancy` counter describing who holds the LLC right
@@ -692,7 +688,10 @@ impl Run {
                 let mut umon = MachineUmon { machine: &mut self.machine, cores };
                 let mut w =
                     WindowView { now, raw_mpki: s.mpki(), ipc: s.window.ipc(), quanta: self.quanta, umon: &mut umon };
-                if let Some(masks) = ctl.observe_window(&mut w) {
+                let phase_t0 = telemetry::progress::phase_begin();
+                let masks = ctl.observe_window(&mut w);
+                telemetry::progress::phase_add(telemetry::progress::Phase::Controller, phase_t0);
+                if let Some(masks) = masks {
                     set_masks(&mut self.machine, masks);
                     self.ways_trace.push((self.machine.now(), masks.0.count()));
                 }

@@ -14,7 +14,8 @@
 //! sink) or events but no controller decisions.
 //! The arguments are app names and one trace path, never flags: any
 //! argument starting with `-` is a usage error (exit 2), so a mistyped or
-//! stale flag cannot silently run a whole subcommand.
+//! stale flag cannot silently run a whole subcommand. So is an unknown
+//! subcommand.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -209,8 +210,8 @@ fn run() -> Result<(), ExitCode> {
             println!("avg dynamic {:.2}x shared {:.2}x", d.mean, s.mean);
         }
         other => {
-            eprintln!("unknown probe `{other}` (use dynamic|trace|explain|energy|solo|sweep|fig11|fig13)");
-            return Err(ExitCode::FAILURE);
+            eprintln!("probe: unknown subcommand `{other}`\n{USAGE}");
+            return Err(ExitCode::from(2));
         }
     }
     Ok(())

@@ -389,8 +389,8 @@ fn build_html(d: &TraceData, metrics: Option<&Json>, trace_path: &str) -> String
     // ---- latency percentiles
     let lat_body = if d.latency.is_empty() {
         placeholder(
-            "no sim.latency summaries — build with `--features telemetry` and run cold to \
-             collect per-access latency histograms",
+            "no sim.latency summaries — every simulated run emits them, so run cold \
+             (`--no-cache`) to collect per-level latency histograms",
         )
     } else {
         let mut t = Table::new(["level", "accesses", "min", "p50", "p90", "p99", "max", "mean"]);

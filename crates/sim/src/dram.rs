@@ -32,18 +32,16 @@ impl DramModel {
         DramModel { cfg, demand_lines: 0, utilization: 0.0, queue_mult: 1.0, total_lines: 0 }
     }
 
-    /// Records one line transfer and returns the effective latency in
-    /// cycles for a demand access (`base_latency` scaled by the current
-    /// queueing multiplier).
+    /// The effective latency in cycles of a demand access this quantum:
+    /// `base_latency` scaled by the queueing multiplier, fixed until the
+    /// next [`Self::end_quantum`].
     #[inline]
-    pub fn access(&mut self, base_latency: u64) -> u64 {
-        self.demand_lines += 1;
-        self.total_lines += 1;
+    pub fn latency(&self, base_latency: u64) -> u64 {
         (base_latency as f64 * self.queue_mult) as u64
     }
 
-    /// Records a bandwidth-consuming transfer that adds no stall to the
-    /// requester (write-backs, prefetch fills).
+    /// Records one line transfer: a demand read, a write-back or a
+    /// prefetch fill.
     #[inline]
     pub fn consume(&mut self) {
         self.demand_lines += 1;
@@ -88,14 +86,15 @@ mod tests {
     #[test]
     fn idle_channel_charges_base_latency() {
         let mut d = DramModel::new(cfg());
-        assert_eq!(d.access(200), 200);
+        d.consume();
+        assert_eq!(d.latency(200), 200);
     }
 
     #[test]
     fn light_load_keeps_multiplier_near_one() {
         let mut d = DramModel::new(cfg());
         for _ in 0..100 {
-            d.access(200);
+            d.consume();
         }
         d.end_quantum(100_000); // capacity 10_000 lines, demand 100 → ρ=0.01
         assert!(d.queue_mult() < 1.05, "mult = {}", d.queue_mult());
@@ -109,7 +108,7 @@ mod tests {
         }
         d.end_quantum(100_000); // ρ = 0.95
         assert!(d.queue_mult() > 5.0, "mult = {}", d.queue_mult());
-        assert!(d.access(200) > 1000);
+        assert!(d.latency(200) > 1000);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::msr::PrefetcherMask;
 use crate::prefetch::{PrefetchEngine, PrefetchLevel, PrefetchQueue, PrefetchRequest};
 use crate::ring::RingModel;
 use crate::stream::Access;
+use crate::tallies::FillTallies;
 use crate::umon::UtilityMonitor;
 use crate::waymask::WayMask;
 use crate::CoreId;
@@ -121,13 +122,9 @@ pub struct Hierarchy {
     mba_percent: Vec<u8>,
     /// Token buckets for prefetch admission under MBA throttling.
     pf_admit: Vec<u32>,
-    /// Telemetry-only per-level tallies. Never read by simulation logic.
-    #[cfg(feature = "telemetry")]
-    tallies: crate::tallies::LevelTallies,
-    /// Telemetry-only per-access latency histograms, indexed by
-    /// [`HitLevel::index`]. Never read by simulation logic.
-    #[cfg(feature = "telemetry")]
-    latency_hists: [waypart_telemetry::Histogram; HitLevel::COUNT],
+    /// Telemetry-only LLC fill, eviction and dropped-prefetch counts.
+    /// Never read by simulation logic.
+    fills: FillTallies,
 }
 
 impl Hierarchy {
@@ -152,24 +149,30 @@ impl Hierarchy {
             coloring: None,
             mba_percent: vec![100; cfg.cores],
             pf_admit: vec![0; cfg.cores],
-            #[cfg(feature = "telemetry")]
-            tallies: Default::default(),
-            #[cfg(feature = "telemetry")]
-            latency_hists: Default::default(),
+            fills: FillTallies::default(),
         }
     }
 
-    /// Snapshot of the cumulative per-level tallies (telemetry builds).
-    #[cfg(feature = "telemetry")]
-    pub fn tallies(&self) -> crate::tallies::LevelTallies {
-        self.tallies
+    /// Cumulative LLC fills, evictions and dropped prefetches of the
+    /// detailed paths.
+    pub fn fill_tallies(&self) -> FillTallies {
+        self.fills
     }
 
-    /// Per-access latency histograms by satisfying level, indexed by
-    /// [`HitLevel::index`] (telemetry builds).
-    #[cfg(feature = "telemetry")]
-    pub fn latency_hists(&self) -> &[waypart_telemetry::Histogram; HitLevel::COUNT] {
-        &self.latency_hists
+    /// The latency of an access that `core` satisfies at `level`. It
+    /// changes only when the ring or DRAM model ends a quantum or the
+    /// core's MBA throttle is reprogrammed, so one quantum's accesses at
+    /// one level all cost the same — which lets the machine fold them
+    /// into the latency histograms once per quantum.
+    #[inline(always)]
+    pub fn level_latency(&self, core: CoreId, level: HitLevel, ring: &RingModel, dram: &DramModel) -> u64 {
+        match level {
+            HitLevel::L1 => self.latency.l1_hit,
+            HitLevel::L2 => self.latency.l2_hit,
+            HitLevel::Llc => ring.latency(self.latency.llc_hit),
+            HitLevel::Dram => ring.latency(self.latency.llc_hit) + self.throttle(core, dram.latency(self.latency.dram)),
+            HitLevel::Bypass => self.throttle(core, dram.latency(self.latency.dram)),
+        }
     }
 
     /// Sets core `core`'s memory-bandwidth throttle (percent, 10..=100).
@@ -277,12 +280,8 @@ impl Hierarchy {
         if access.non_temporal {
             // Specially tagged loads/stores stream through memory without
             // caching (the stream_uncached microbenchmark, §2.3).
-            let latency = self.throttle(core, dram.access(self.latency.dram));
-            #[cfg(feature = "telemetry")]
-            {
-                self.tallies.bypasses += 1;
-                self.latency_hists[HitLevel::Bypass.index()].record(latency);
-            }
+            dram.consume();
+            let latency = self.level_latency(core, HitLevel::Bypass, ring, dram);
             return AccessOutcome { latency, level: HitLevel::Bypass, dram_writebacks: 0, prefetches_issued: 0 };
         }
 
@@ -296,11 +295,11 @@ impl Hierarchy {
         // probe and the (possible) fill — the index hash is on the hottest
         // path in the whole simulator.
         let level;
-        let mut latency;
+        let latency;
         let l1_set = self.l1[core].set_index(access.line);
         if self.l1[core].probe_in(l1_set, access.line, access.write).is_some() {
             level = HitLevel::L1;
-            latency = self.latency.l1_hit;
+            latency = self.level_latency(core, HitLevel::L1, ring, dram);
         } else {
             // The MLC units observe L2 accesses (== L1 misses).
             self.engines[core].observe_l2(access.line, pf_mask, &mut prefetches);
@@ -308,21 +307,23 @@ impl Hierarchy {
             let l2_set = self.l2[core].set_index(access.line);
             if self.l2[core].probe_in(l2_set, access.line, false).is_some() {
                 level = HitLevel::L2;
-                latency = self.latency.l2_hit;
+                latency = self.level_latency(core, HitLevel::L2, ring, dram);
             } else {
                 if let Some(umons) = &mut self.umon {
                     let set = self.llc.geometry().index.index(access.line, self.llc.num_sets());
                     umons[core].observe(access.line, set);
                 }
-                latency = ring.access(self.latency.llc_hit);
+                ring.request();
                 let llc_line = self.to_llc(access.line);
                 let llc_set = self.llc.set_index(llc_line);
                 if let Some(way) = self.llc.probe_in(llc_set, llc_line, false) {
                     level = HitLevel::Llc;
+                    latency = self.level_latency(core, HitLevel::Llc, ring, dram);
                     self.llc.add_sharer(llc_set, way, core as u8);
                 } else {
                     level = HitLevel::Dram;
-                    latency += self.throttle(core, dram.access(self.latency.dram));
+                    dram.consume();
+                    latency = self.level_latency(core, HitLevel::Dram, ring, dram);
                     writebacks += self.fill_llc(core, llc_set, llc_line, mask, dram);
                 }
                 writebacks += self.fill_l2(core, l2_set, access.line, false, dram);
@@ -334,31 +335,6 @@ impl Hierarchy {
         let issued = prefetches.as_slice().len() as u32;
         for req in prefetches.as_slice() {
             writebacks += self.issue_prefetch(core, req, mask, ring, dram);
-        }
-
-        #[cfg(feature = "telemetry")]
-        {
-            match level {
-                HitLevel::L1 => self.tallies.l1_hits += 1,
-                HitLevel::L2 => {
-                    self.tallies.l1_misses += 1;
-                    self.tallies.l2_hits += 1;
-                }
-                HitLevel::Llc => {
-                    self.tallies.l1_misses += 1;
-                    self.tallies.l2_misses += 1;
-                    self.tallies.llc_hits += 1;
-                }
-                HitLevel::Dram => {
-                    self.tallies.l1_misses += 1;
-                    self.tallies.l2_misses += 1;
-                    self.tallies.llc_misses += 1;
-                }
-                HitLevel::Bypass => {}
-            }
-            self.tallies.dram_writebacks += u64::from(writebacks);
-            self.tallies.pf_issued += u64::from(issued);
-            self.latency_hists[level.index()].record(latency);
         }
 
         AccessOutcome { latency, level, dram_writebacks: writebacks, prefetches_issued: issued }
@@ -485,15 +461,9 @@ impl Hierarchy {
     #[inline(always)]
     fn fill_llc(&mut self, core: CoreId, set: usize, line: LineAddr, mask: WayMask, dram: &mut DramModel) -> u32 {
         let mut writebacks = 0;
-        #[cfg(feature = "telemetry")]
-        {
-            self.tallies.llc_fills += 1;
-        }
+        self.fills.llc_fills += 1;
         if let Some(ev) = self.llc.fill_in(set, line, mask, false, core as u8) {
-            #[cfg(feature = "telemetry")]
-            {
-                self.tallies.llc_evictions += 1;
-            }
+            self.fills.llc_evictions += 1;
             // A dirty inner copy is the freshest; it must reach DRAM.
             let victim_dirty = self.back_invalidate(ev) | ev.dirty;
             if victim_dirty {
@@ -560,10 +530,7 @@ impl Hierarchy {
         if pct < 100 {
             self.pf_admit[core] += pct;
             if self.pf_admit[core] < 100 {
-                #[cfg(feature = "telemetry")]
-                {
-                    self.tallies.pf_dropped += 1;
-                }
+                self.fills.pf_dropped += 1;
                 return 0;
             }
             self.pf_admit[core] -= 100;
@@ -578,13 +545,10 @@ impl Hierarchy {
             let llc_set = self.llc.set_index(llc_line);
             if !self.llc.share_in(llc_set, llc_line, core as u8) {
                 if dram.utilization() > Self::PREFETCH_DROP_UTILIZATION {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        self.tallies.pf_dropped += 1;
-                    }
+                    self.fills.pf_dropped += 1;
                     return 0;
                 }
-                ring.access(0);
+                ring.request();
                 dram.consume();
                 writebacks += self.fill_llc(core, llc_set, llc_line, mask, dram);
             }
@@ -1008,5 +972,138 @@ mod sharer_exactness {
         assert!(!Hierarchy::new(&cfg).filter_sharers);
         cfg.cores = 8;
         assert!(Hierarchy::new(&cfg).filter_sharers);
+    }
+}
+
+/// Exactness of the machine's latency fold: within one quantum every
+/// access a core satisfies at one level costs what `level_latency` gives
+/// for that (level, core) when the quantum closes, which is the latency
+/// the machine folds into its histograms. Random streams, cores, way
+/// masks, prefetchers and MBA throttles, with ring and DRAM load that
+/// moves both queue multipliers at every quantum boundary.
+#[cfg(test)]
+mod level_latency_exactness {
+    use super::*;
+    use crate::msr::Prefetcher;
+    use proptest::prelude::*;
+
+    /// One access and the way count of the core issuing it.
+    #[derive(Debug, Clone)]
+    struct Op {
+        core: usize,
+        line: u64,
+        write: bool,
+        non_temporal: bool,
+        pc: u32,
+        ways: usize,
+    }
+
+    /// One quantum: its accesses, the ring requests and DRAM lines other
+    /// traffic adds before it closes, and each core's MBA percent for the
+    /// next quantum.
+    #[derive(Debug, Clone)]
+    struct Quantum {
+        ops: Vec<Op>,
+        ring_load: u64,
+        dram_load: u64,
+        mba: Vec<u8>,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0usize..4, 0u64..1536, any::<bool>(), 0u32..16, 0u32..8, 1usize..13).prop_map(
+            |(core, line, write, nt, pc, ways)| Op { core, line, write, non_temporal: nt == 0, pc, ways },
+        )
+    }
+
+    fn quantum_strategy() -> impl Strategy<Value = Quantum> {
+        (
+            proptest::collection::vec(op_strategy(), 0..160),
+            0u64..4000,
+            0u64..2000,
+            // Clamped so both ends, 10% and unthrottled, come up often.
+            proptest::collection::vec((0u8..140).prop_map(|p| p.clamp(10, 100)), 4..5),
+        )
+            .prop_map(|(ops, ring_load, dram_load, mba)| Quantum { ops, ring_load, dram_load, mba })
+    }
+
+    fn check(quanta: &[Quantum], pf_bits: u8, quantum_cycles: u64) {
+        let cfg = MachineConfig::scaled(64);
+        let mut h = Hierarchy::new(&cfg);
+        let mut ring = RingModel::new(cfg.ring);
+        let mut dram = DramModel::new(cfg.dram);
+        let mut pf = PrefetcherMask::all_disabled();
+        for (i, p) in Prefetcher::ALL.into_iter().enumerate() {
+            pf = pf.with(p, pf_bits >> i & 1 == 1);
+        }
+        for (n, q) in quanta.iter().enumerate() {
+            let outcomes: Vec<(CoreId, AccessOutcome)> = q
+                .ops
+                .iter()
+                .map(|op| {
+                    let access = Access {
+                        line: LineAddr::in_space(op.core as u16 % 2, op.line),
+                        write: op.write,
+                        pc: op.pc,
+                        non_temporal: op.non_temporal,
+                        mlp: 1.0,
+                    };
+                    let mask = WayMask::contiguous(0, op.ways);
+                    (op.core, h.access(op.core, &access, mask, pf, &mut ring, &mut dram))
+                })
+                .collect();
+            for _ in 0..q.ring_load {
+                ring.request();
+            }
+            for _ in 0..q.dram_load {
+                dram.consume();
+            }
+            for (i, (core, o)) in outcomes.iter().enumerate() {
+                let folded = h.level_latency(*core, o.level, &ring, &dram);
+                assert_eq!(o.latency, folded, "quantum {n} access {i} on core {core}: {o:?}");
+            }
+            ring.end_quantum(quantum_cycles);
+            dram.end_quantum(quantum_cycles);
+            for (core, &percent) in q.mba.iter().enumerate() {
+                h.set_mba(core, percent);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_outcome_costs_its_level_latency_at_quantum_close(
+            quanta in proptest::collection::vec(quantum_strategy(), 1..12),
+            pf_bits in 0u8..16,
+            quantum_cycles in 200u64..5000,
+        ) {
+            check(&quanta, pf_bits, quantum_cycles);
+        }
+    }
+
+    #[test]
+    fn queue_load_and_throttle_move_the_level_latencies() {
+        let cfg = MachineConfig::scaled(64);
+        let mut h = Hierarchy::new(&cfg);
+        let mut ring = RingModel::new(cfg.ring);
+        let mut dram = DramModel::new(cfg.dram);
+        let idle: Vec<u64> = HitLevel::all().iter().map(|&l| h.level_latency(1, l, &ring, &dram)).collect();
+        let lat = cfg.latency;
+        assert_eq!(idle, [lat.l1_hit, lat.l2_hit, lat.llc_hit, lat.llc_hit + lat.dram, lat.dram]);
+        for _ in 0..900 {
+            ring.request();
+            dram.consume();
+        }
+        ring.end_quantum(1000);
+        dram.end_quantum(1000);
+        h.set_mba(1, 50);
+        let loaded: Vec<u64> = HitLevel::all().iter().map(|&l| h.level_latency(1, l, &ring, &dram)).collect();
+        let ring_lat = (lat.llc_hit as f64 * ring.queue_mult()) as u64;
+        let dram_lat = (lat.dram as f64 * dram.queue_mult()) as u64 * 2;
+        assert!(ring_lat > lat.llc_hit && dram_lat > 2 * lat.dram, "{ring_lat} {dram_lat}");
+        assert_eq!(loaded, [lat.l1_hit, lat.l2_hit, ring_lat, ring_lat + dram_lat, dram_lat]);
+        // Another core's throttle is its own.
+        assert_eq!(h.level_latency(0, HitLevel::Bypass, &ring, &dram), dram_lat / 2);
     }
 }

@@ -49,7 +49,6 @@ pub mod plru;
 pub mod prefetch;
 pub mod ring;
 pub mod stream;
-#[cfg(feature = "telemetry")]
 pub mod tallies;
 pub mod umon;
 pub mod waymask;

@@ -19,6 +19,7 @@ use crate::hierarchy::{AccessOutcome, Hierarchy, HitLevel};
 use crate::msr::{MsrBank, PrefetcherMask};
 use crate::ring::RingModel;
 use crate::stream::{AccessStream, StreamEvent};
+use crate::tallies::LevelFold;
 use crate::waymask::WayMask;
 use crate::{CoreId, Cycles, HwThreadId};
 use waypart_telemetry::progress::{self, Phase};
@@ -39,6 +40,19 @@ const LEVEL_COUNTS: [[u64; 5]; HitLevel::COUNT] = [
     [1, 1, 1, 1, 0], // DRAM
     [0, 0, 1, 1, 1], // Bypass
 ];
+
+/// Accesses per satisfying level in a detailed counter delta, indexed by
+/// [`HitLevel::index`] — the inverse of [`LEVEL_COUNTS`].
+fn level_counts(delta: &HwCounters) -> [u64; HitLevel::COUNT] {
+    let dram = delta.llc_misses - delta.non_temporal;
+    [
+        delta.l1_accesses - delta.l1_misses - delta.non_temporal,
+        delta.l1_misses - delta.l2_misses,
+        delta.l2_misses - dram,
+        dram,
+        delta.non_temporal,
+    ]
+}
 
 /// One hardware thread's execution context.
 struct ThreadSlot {
@@ -118,6 +132,9 @@ pub struct Machine {
     msr: MsrBank,
     threads: Vec<Option<ThreadSlot>>,
     counters: Vec<HwCounters>,
+    /// Telemetry-only latency histograms and tallies, folded from each
+    /// detailed thread-quantum. Never read by simulation logic.
+    levels: LevelFold,
     now: Cycles,
     /// Cycle at which each asid's last thread finished.
     finish_times: std::collections::HashMap<u16, Cycles>,
@@ -139,6 +156,7 @@ impl Machine {
             msr: MsrBank::new(cfg.cores, cfg.llc.ways),
             threads: (0..n).map(|_| None).collect(),
             counters: vec![HwCounters::default(); n],
+            levels: LevelFold::default(),
             now: 0,
             finish_times: std::collections::HashMap::new(),
             batching: true,
@@ -255,19 +273,16 @@ impl Machine {
         &self.hierarchy
     }
 
-    /// Snapshot of the hierarchy's per-level telemetry tallies.
-    #[cfg(feature = "telemetry")]
-    pub fn tallies(&self) -> crate::tallies::LevelTallies {
-        self.hierarchy.tallies()
+    /// The `sim.tallies` fields of every detailed quantum so far (see
+    /// [`LevelFold::tallies`]).
+    pub fn tallies(&self) -> [(&'static str, u64); 12] {
+        self.levels.tallies(self.hierarchy.fill_tallies())
     }
 
-    /// Per-access latency histograms by satisfying level, indexed by
-    /// [`crate::hierarchy::HitLevel::index`] (telemetry builds).
-    #[cfg(feature = "telemetry")]
-    pub fn latency_hists(
-        &self,
-    ) -> &[waypart_telemetry::Histogram; crate::hierarchy::HitLevel::COUNT] {
-        self.hierarchy.latency_hists()
+    /// Per-access latency histograms of every detailed quantum so far, by
+    /// satisfying level, indexed by [`HitLevel::index`].
+    pub fn latency_hists(&self) -> &[waypart_telemetry::Histogram; HitLevel::COUNT] {
+        self.levels.latency_hists()
     }
 
     /// Enables per-core utility monitors (for the UCP baseline).
@@ -395,9 +410,10 @@ impl Machine {
         act
     }
 
-    /// Runs thread `ht` for up to `quantum` cycles and remembers the
-    /// quantum's counter deltas as the thread's extrapolation rates.
-    /// Returns true if the stream completed.
+    /// Runs thread `ht` for up to `quantum` cycles, remembers the
+    /// quantum's counter deltas as the thread's extrapolation rates and
+    /// folds them into the latency histograms. Returns true if the stream
+    /// completed.
     fn run_thread_quantum(&mut self, ht: HwThreadId, core: CoreId, quantum: Cycles, dilation: f64) -> bool {
         let budget = quantum as f64;
         let mask = self.msr.way_mask(core);
@@ -490,8 +506,14 @@ impl Machine {
 
         slot.carry = (used - budget).max(0.0);
         counters.cycles += if finished { used.min(budget) as u64 } else { quantum };
-        slot.rate = Some(counters.delta(&rate_before));
+        let delta = counters.delta(&rate_before);
+        slot.rate = Some(delta);
         self.threads[ht] = Some(slot);
+        // Neither queue multiplier nor the core's MBA throttle has moved
+        // since the quantum began, so every access the core satisfied at a
+        // level cost what `level_latency` charges now.
+        let (hierarchy, ring, dram) = (&self.hierarchy, &self.ring, &self.dram);
+        self.levels.fold(&delta, level_counts(&delta), |level| hierarchy.level_latency(core, level, ring, dram));
         finished
     }
 
@@ -809,6 +831,60 @@ mod tests {
             throttled as f64 > free as f64 * 1.3,
             "25% MBA throttle only slowed {free} → {throttled}"
         );
+    }
+
+    #[test]
+    fn level_counts_invert_the_charged_counters() {
+        // Charging one access at a level adds `LEVEL_COUNTS[level]`;
+        // reading the counts back must name that level alone, and a mix
+        // of levels must come back level by level.
+        let mut mix = HwCounters::default();
+        let mut want = [0u64; HitLevel::COUNT];
+        for (n, level) in HitLevel::all().into_iter().enumerate() {
+            let access = crate::stream::Access {
+                non_temporal: level == HitLevel::Bypass,
+                ..crate::stream::Access::load(crate::LineAddr::in_space(0, 1))
+            };
+            let outcome = AccessOutcome { latency: 7, level, dram_writebacks: 0, prefetches_issued: 0 };
+            let mut used = 1.0;
+            let mut one = HwCounters::default();
+            Machine::charge(&mut one, &access, &outcome, 1.0, &mut used);
+            let mut onehot = [0u64; HitLevel::COUNT];
+            onehot[level.index()] = 1;
+            assert_eq!(level_counts(&one), onehot, "{level:?}");
+            for _ in 0..=n {
+                Machine::charge(&mut mix, &access, &outcome, 1.0, &mut used);
+            }
+            want[level.index()] = n as u64 + 1;
+        }
+        assert_eq!(level_counts(&mix), want);
+    }
+
+    #[test]
+    fn only_detailed_quanta_fold_into_the_tallies() {
+        let mut m = machine();
+        let llc_lines = (m.config().llc.size_bytes / m.config().line_bytes) as u64;
+        m.set_mba(1, 40);
+        m.attach(0, 1, Box::new(SequentialStream::new(1, llc_lines * 2, 200_000, 3)));
+        m.attach(2, 2, Box::new(SequentialStream::new(2, 64, 200_000, 3)));
+        for _ in 0..6 {
+            m.run_quantum();
+        }
+        let c = m.counters(0).merge(m.counters(2));
+        let tallies = m.tallies();
+        let t = |key| tallies.iter().find(|(k, _)| *k == key).expect("tally").1;
+        assert_eq!(t("l1_hits") + t("l1_misses") + t("bypasses"), c.l1_accesses);
+        assert_eq!((t("l1_misses"), t("l2_misses")), (c.l1_misses, c.l2_misses));
+        assert_eq!(t("llc_misses") + t("bypasses"), c.llc_misses);
+        assert_eq!((t("dram_writebacks"), t("pf_issued")), (c.dram_writebacks, c.prefetches_issued));
+        let counted: u64 = m.latency_hists().iter().map(|h| h.count()).sum();
+        assert_eq!(counted, c.l1_accesses);
+        assert!(t("llc_misses") > 0 && t("llc_fills") >= t("llc_misses"), "{tallies:?}");
+        // A fast-forward quantum extrapolates counters and folds nothing.
+        let (hists, before) = (m.latency_hists().clone(), *m.counters(0));
+        m.fast_forward_quantum();
+        assert!(m.counters(0).l1_accesses > before.l1_accesses);
+        assert_eq!((m.tallies(), m.latency_hists()), (tallies, &hists));
     }
 
     #[test]

@@ -27,12 +27,17 @@ impl RingModel {
         RingModel { cfg, requests: 0, utilization: 0.0, queue_mult: 1.0, total_requests: 0 }
     }
 
-    /// Records one LLC request and returns the effective LLC access latency
-    /// for `base_latency`.
+    /// Records one LLC request.
     #[inline]
-    pub fn access(&mut self, base_latency: u64) -> u64 {
+    pub fn request(&mut self) {
         self.requests += 1;
         self.total_requests += 1;
+    }
+
+    /// The effective LLC access latency for `base_latency` this quantum:
+    /// fixed until the next [`Self::end_quantum`].
+    #[inline]
+    pub fn latency(&self, base_latency: u64) -> u64 {
         (base_latency as f64 * self.queue_mult) as u64
     }
 
@@ -65,7 +70,8 @@ mod tests {
     #[test]
     fn idle_ring_is_free() {
         let mut r = RingModel::new(RingConfig { requests_per_cycle: 1.0, max_queue_mult: 3.0 });
-        assert_eq!(r.access(30), 30);
+        r.request();
+        assert_eq!(r.latency(30), 30);
         r.end_quantum(1000);
         assert!(r.queue_mult() < 1.01);
     }
@@ -74,18 +80,18 @@ mod tests {
     fn saturated_ring_slows_llc() {
         let mut r = RingModel::new(RingConfig { requests_per_cycle: 0.5, max_queue_mult: 3.0 });
         for _ in 0..490 {
-            r.access(30);
+            r.request();
         }
         r.end_quantum(1000); // ρ = 0.98
         assert!(r.queue_mult() > 2.0);
-        assert!(r.access(30) > 60);
+        assert!(r.latency(30) > 60);
     }
 
     #[test]
     fn multiplier_capped() {
         let mut r = RingModel::new(RingConfig { requests_per_cycle: 0.1, max_queue_mult: 3.0 });
         for _ in 0..10_000 {
-            r.access(30);
+            r.request();
         }
         r.end_quantum(1000);
         assert!((r.queue_mult() - 3.0).abs() < 1e-9);

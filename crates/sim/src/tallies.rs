@@ -1,56 +1,82 @@
-//! Per-level cache tallies — the simulator's telemetry metrics snapshot.
+//! Per-level cache tallies and latency histograms — the simulator's
+//! `sim.tallies` and `sim.latency` telemetry.
 //!
-//! Only compiled with the crate's `telemetry` feature. The counters are
-//! plain `u64` increments on paths that already branch on the outcome
-//! being counted, and they never influence any simulation decision — the
-//! `telemetry_inert` integration test holds golden fingerprints
-//! byte-identical between feature-on and feature-off builds.
+//! Nothing here runs per access. Within one quantum every access that one
+//! core satisfies at one level costs the same
+//! ([`Hierarchy::level_latency`](crate::hierarchy::Hierarchy::level_latency)),
+//! so the machine folds each detailed thread-quantum's counter delta into
+//! a [`LevelFold`] once, with [`Histogram::record_n`]. The three events
+//! the counter file does not hold are [`FillTallies`], plain counters on
+//! hierarchy paths that already branch on them. No simulation decision
+//! reads any of it; `tests/telemetry_inert.rs` checks that runs with and
+//! without a sink match.
 
-/// Cumulative per-level hit/miss/fill/evict counts for one hierarchy.
+use crate::counters::HwCounters;
+use crate::hierarchy::HitLevel;
+use waypart_telemetry::Histogram;
+
+/// The tallies [`HwCounters`] does not hold, counted by the hierarchy's
+/// detailed fill and prefetch paths.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelTallies {
-    /// Demand accesses that hit in L1.
-    pub l1_hits: u64,
-    /// Demand accesses that missed L1.
-    pub l1_misses: u64,
-    /// L1 misses that hit in L2.
-    pub l2_hits: u64,
-    /// L1 misses that also missed L2.
-    pub l2_misses: u64,
-    /// L2 misses that hit in the shared LLC.
-    pub llc_hits: u64,
-    /// L2 misses that went to DRAM.
-    pub llc_misses: u64,
+pub struct FillTallies {
     /// Lines filled into the LLC (demand + prefetch).
     pub llc_fills: u64,
-    /// Valid LLC victims evicted by fills (inclusive back-invalidation).
+    /// Valid LLC victims evicted by those fills (inclusive
+    /// back-invalidation).
     pub llc_evictions: u64,
-    /// Dirty lines written back to DRAM.
-    pub dram_writebacks: u64,
-    /// Prefetch requests issued into the hierarchy.
-    pub pf_issued: u64,
     /// Prefetch requests dropped (MBA admission or DRAM saturation).
     pub pf_dropped: u64,
-    /// Non-temporal accesses that bypassed the hierarchy.
-    pub bypasses: u64,
 }
 
-impl LevelTallies {
-    /// Field-name/value pairs for exporting as telemetry event payloads.
-    pub fn entries(&self) -> [(&'static str, u64); 12] {
+/// Latency histograms by satisfying level, indexed by
+/// [`HitLevel::index`], plus the write-backs and prefetches of every
+/// detailed thread-quantum folded so far.
+#[derive(Debug, Clone, Default)]
+pub struct LevelFold {
+    latency: [Histogram; HitLevel::COUNT],
+    dram_writebacks: u64,
+    pf_issued: u64,
+}
+
+impl LevelFold {
+    /// Folds one detailed thread-quantum: `counts[level.index()]` of its
+    /// accesses were satisfied at `level`, each for `latency(level)`
+    /// cycles, and `delta` is its counter delta.
+    pub fn fold(&mut self, delta: &HwCounters, counts: [u64; HitLevel::COUNT], latency: impl Fn(HitLevel) -> u64) {
+        for level in HitLevel::all() {
+            self.latency[level.index()].record_n(latency(level), counts[level.index()]);
+        }
+        self.dram_writebacks += delta.dram_writebacks;
+        self.pf_issued += delta.prefetches_issued;
+    }
+
+    /// Per-access latency histograms, indexed by [`HitLevel::index`].
+    pub fn latency_hists(&self) -> &[Histogram; HitLevel::COUNT] {
+        &self.latency
+    }
+
+    /// The `sim.tallies` fields, in order: demand accesses that hit L1,
+    /// that missed L1, that hit L2 and that missed it, L2 misses that hit
+    /// the LLC and that went to DRAM (all the histograms' counts), then
+    /// `fills`' LLC fills and evictions, the folded DRAM write-backs and
+    /// issued prefetches, `fills`' dropped prefetches, and non-temporal
+    /// accesses that bypassed the hierarchy.
+    pub fn tallies(&self, fills: FillTallies) -> [(&'static str, u64); 12] {
+        let count = |level: HitLevel| self.latency[level.index()].count();
+        let (l2, llc, dram) = (count(HitLevel::L2), count(HitLevel::Llc), count(HitLevel::Dram));
         [
-            ("l1_hits", self.l1_hits),
-            ("l1_misses", self.l1_misses),
-            ("l2_hits", self.l2_hits),
-            ("l2_misses", self.l2_misses),
-            ("llc_hits", self.llc_hits),
-            ("llc_misses", self.llc_misses),
-            ("llc_fills", self.llc_fills),
-            ("llc_evictions", self.llc_evictions),
+            ("l1_hits", count(HitLevel::L1)),
+            ("l1_misses", l2 + llc + dram),
+            ("l2_hits", l2),
+            ("l2_misses", llc + dram),
+            ("llc_hits", llc),
+            ("llc_misses", dram),
+            ("llc_fills", fills.llc_fills),
+            ("llc_evictions", fills.llc_evictions),
             ("dram_writebacks", self.dram_writebacks),
             ("pf_issued", self.pf_issued),
-            ("pf_dropped", self.pf_dropped),
-            ("bypasses", self.bypasses),
+            ("pf_dropped", fills.pf_dropped),
+            ("bypasses", count(HitLevel::Bypass)),
         ]
     }
 }
@@ -60,11 +86,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entries_cover_every_field() {
-        let t = LevelTallies { l1_hits: 1, bypasses: 12, ..Default::default() };
-        let entries = t.entries();
-        assert_eq!(entries.len(), 12);
-        assert_eq!(entries[0], ("l1_hits", 1));
-        assert_eq!(entries[11], ("bypasses", 12));
+    fn fold_records_each_level_at_its_latency() {
+        let mut fold = LevelFold::default();
+        let delta = HwCounters { dram_writebacks: 3, prefetches_issued: 7, ..Default::default() };
+        fold.fold(&delta, [5, 4, 3, 2, 1], |level| 10 * level.index() as u64);
+        fold.fold(&delta, [1, 0, 0, 0, 0], |_| 99);
+        let l1 = &fold.latency_hists()[HitLevel::L1.index()];
+        assert_eq!((l1.count(), l1.min(), l1.max(), l1.sum()), (6, 0, 99, 99));
+        let dram = &fold.latency_hists()[HitLevel::Dram.index()];
+        assert_eq!((dram.count(), dram.min(), dram.max()), (2, 30, 30));
+        let fills = FillTallies { llc_fills: 8, llc_evictions: 6, pf_dropped: 2 };
+        let values: Vec<u64> = fold.tallies(fills).iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, [6, 9, 4, 5, 3, 2, 8, 6, 6, 14, 2, 1]);
     }
 }

@@ -19,10 +19,10 @@
 //!    simulation state; the golden-fingerprint tests enforce that enabling
 //!    telemetry changes no simulation output byte.
 //! 3. **Free when off.** With no sink installed, [`emit_with`] is one
-//!    relaxed atomic load and the event closure never runs. The per-access
-//!    tallies in `waypart-sim` are additionally gated behind that crate's
-//!    default-off `telemetry` feature so the hot path is untouched by
-//!    default builds.
+//!    relaxed atomic load and the event closure never runs. Nothing is
+//!    recorded per access: `waypart-sim` folds its per-level tallies and
+//!    latency histograms once per quantum from the counters it keeps
+//!    anyway, so there is one build and no feature gate.
 //!
 //! ## Usage
 //!

@@ -22,7 +22,8 @@ pub enum Phase {
     StreamGen = 0,
     /// Cache probe + fill + stat charging (the sim drain loop).
     ProbeFill = 1,
-    /// Dynamic-partitioning controller observation/decision.
+    /// Partitioning-controller window observation/decision (every
+    /// `Controller`: dynamic, UCP, QoS and the arena's).
     Controller = 2,
     /// Run-cache disk reads and writes.
     RuncacheIo = 3,

@@ -93,23 +93,40 @@ if [ "$QUICK" -eq 0 ]; then
   cargo test --release --test figures_smoke --test headline_shape -q
 fi
 
-echo "== telemetry: feature-on build + inertness + trace validation =="
-# The telemetry feature must not change a single simulation byte: the
-# goldens and determinism suite re-run with it enabled, plus the
-# inertness test that attaches live sinks (DESIGN.md §5c).
-cargo test --release --features telemetry \
-  --test determinism --test golden_fingerprint --test telemetry_inert -q
-# Emitted traces must satisfy their own schemas (offline, jq-free). The
-# feature-on build adds per-access latency histograms (`sim.latency`) to
-# the cold fig12 trace; fig12 is the cheap artifact that still contains a
-# dynamically-partitioned pair, so the trace carries real `sim.occupancy`
-# windows for the dashboard.
+echo "== telemetry: inertness + trace validation + level summaries =="
+# Attaching live sinks must not change a single simulation byte: the
+# inertness tests run each simulation bare and with sinks (DESIGN.md §5c).
+cargo test --release --test telemetry_inert -q
+# Emitted traces must satisfy their own schemas (offline, jq-free). Every
+# cold run closes with one `sim.tallies` summary and five per-level
+# `sim.latency` summaries; fig12 is the cheap artifact that still contains
+# a dynamically-partitioned pair, so the trace carries real
+# `sim.occupancy` windows for the dashboard.
 TRACE_DIR=$(mktemp -d /tmp/waypart-ci-trace.XXXXXX)
 trap 'rm -rf "$TRACE_DIR"' EXIT
-cargo run --release -p waypart-experiments --features telemetry --bin reproduce -- \
+cargo run --release -p waypart-experiments --bin reproduce -- \
   --scale test --no-cache --out "$TRACE_DIR/results" \
   --trace "$TRACE_DIR/trace.jsonl" --metrics "$TRACE_DIR/metrics.json" fig12 >/dev/null
 cargo run --release -p waypart-telemetry --bin validate_trace -- "$TRACE_DIR/trace.jsonl"
+RUNS=$(grep -c '"name":"runner.run","kind":"end"' "$TRACE_DIR/trace.jsonl" || true)
+TALLIES=$(grep -c '"name":"sim.tallies"' "$TRACE_DIR/trace.jsonl" || true)
+[ "$RUNS" -gt 0 ] && [ "$TALLIES" -eq "$RUNS" ] \
+  || { echo "FAIL: cold fig12 trace has $TALLIES sim.tallies for $RUNS runs" >&2; exit 1; }
+for level in l1 l2 llc dram bypass; do
+  N=$(grep '"name":"sim.latency"' "$TRACE_DIR/trace.jsonl" | grep -c "\"level\":\"$level\"" || true)
+  [ "$N" -eq "$RUNS" ] \
+    || { echo "FAIL: cold fig12 trace has $N sim.latency $level summaries for $RUNS runs" >&2; exit 1; }
+done
+echo "fig12 trace: $RUNS runs, each with sim.tallies and five sim.latency levels"
+# Every controller's windows are timed, not only the dynamic one's: the
+# QoS grid's controllers reallocate hundreds of times.
+cargo run --release -p waypart-experiments --bin reproduce -- \
+  --scale test --no-cache --out "$TRACE_DIR/qos" --metrics "$TRACE_DIR/qos_metrics.json" ext_qos >/dev/null
+CTL_S=$(grep -o '"phase_seconds":{[^}]*}' "$TRACE_DIR/qos_metrics.json" \
+  | grep -o '"controller":[0-9.e+-]*' | cut -d: -f2)
+awk -v s="${CTL_S:-0}" 'BEGIN { exit !(s > 0) }' \
+  || { echo "FAIL: ext_qos attributed ${CTL_S:-no} controller seconds, want > 0" >&2; exit 1; }
+echo "ext_qos controller time ${CTL_S} s"
 
 echo "== report: build dashboard + well-formedness check =="
 # A pass over the persistent run cache adds the headline summary (the
@@ -126,6 +143,11 @@ cargo run --release -p waypart-experiments --bin report -- \
   --trace "$TRACE_DIR/combined.jsonl" --metrics "$TRACE_DIR/metrics.json" \
   --out "$TRACE_DIR/report.html"
 cargo run --release -p waypart-experiments --bin report -- --check "$TRACE_DIR/report.html"
+grep -q "per-access latency in cycles" "$TRACE_DIR/report.html" \
+  || { echo "FAIL: report lacks the access latency table" >&2; exit 1; }
+if grep -q "no sim.latency summaries" "$TRACE_DIR/report.html"; then
+  echo "FAIL: report shows the latency placeholder for a cold trace" >&2; exit 1
+fi
 # Cache-warm traces must degrade to an explicit banner, not empty
 # panels. fig13 alone replays entirely from the cache, because the
 # command above just filled it with every run fig13 needs — its trace has
@@ -224,9 +246,10 @@ for flag in --trace --metrics --history --arena --verdicts --out --check; do
   [ "$CODE" -eq 2 ] \
     || { echo "FAIL: report $flag without a value exited $CODE, want 2" >&2; exit 1; }
 done
-# `probe` takes app names and a trace path, never flags: any `-` argument
-# exits 2 before anything runs, so a stale flag cannot run a whole grid.
-for args in "fig11 --bogus" "fig11 --shard 1/2"; do
+# `probe` takes a subcommand, app names and a trace path, never flags: any
+# `-` argument or unknown subcommand exits 2 before anything runs, so a
+# stale flag cannot run a whole grid.
+for args in "fig11 --bogus" "fig11 --shard 1/2" "figZZ"; do
   CODE=0
   # shellcheck disable=SC2086 # each case splits into its arguments on purpose
   cargo run --release -p waypart-experiments --bin probe -- $args >/dev/null 2>&1 || CODE=$?

@@ -1,17 +1,14 @@
-//! Telemetry must be *observation only*: compiling the `telemetry`
-//! feature in AND attaching live sinks must not change a single byte of
-//! simulation output.
+//! Telemetry must be *observation only*: attaching live sinks must not
+//! change a single byte of simulation output.
 //!
-//! This file re-runs the golden-fingerprint runs from
-//! `golden_fingerprint.rs` with the feature enabled and a collecting sink
-//! installed, and asserts the fingerprints still match the same golden
-//! strings those tests pin (which CI also checks with the feature off).
-//! If this test fails while `golden_fingerprint` passes, some
+//! Each test runs the same simulation bare and again with a collecting
+//! sink installed, and requires identical results — counters, traces,
+//! everything `Debug` reaches. If one of these fails, some
 //! instrumentation point leaked into simulation state — e.g. a tally
-//! probe that perturbs replacement or an observe() hook that consumes an
-//! RNG draw.
-
-#![cfg(feature = "telemetry")]
+//! that perturbs replacement or an observe() hook that consumes an RNG
+//! draw. The solo test also checks the run's `sim.tallies` and
+//! `sim.latency` summaries against the counters they mirror and against
+//! the values the simulator once recorded access by access.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -20,35 +17,23 @@ use waypart::core::policy::PartitionPolicy;
 use waypart::core::qos::{QosConfig, QosController};
 use waypart::core::runner::{Runner, RunnerConfig};
 use waypart::core::ucp::{UcpConfig, UcpController};
-use waypart::sim::counters::HwCounters;
 use waypart::telemetry::sinks::{CollectingSink, MultiSink, SeriesSink};
 use waypart::telemetry::{self, Event, EventKind, FieldValue};
 use waypart::workloads::registry;
 
-// Must stay literally identical to the constants in golden_fingerprint.rs
-// (the feature-off run): one source of truth for "what the sim computes",
-// two independent build configurations checking it.
-const GOLDEN_SOLO: &str = "cycles=8720000 i=2929688 c=8702403 l1a=976556 l1m=609818 \
-     l2m=182976 llca=182976 llcm=1151 wb=286 pf=478216 pfh=0 nt=0";
-const GOLDEN_PAIR: &str = "fg_cycles=2240000 bg_i=1021381 i=2715628 c=7262038 l1a=905330 \
-     l1m=306836 l2m=103391 llca=103391 llcm=2251 wb=940 pf=566609 pfh=0 nt=0";
-
-fn fingerprint(c: &HwCounters) -> String {
-    format!(
-        "i={} c={} l1a={} l1m={} l2m={} llca={} llcm={} wb={} pf={} pfh={} nt={}",
-        c.instructions,
-        c.cycles,
-        c.l1_accesses,
-        c.l1_misses,
-        c.l2_misses,
-        c.llc_accesses,
-        c.llc_misses,
-        c.dram_writebacks,
-        c.prefetches_issued,
-        c.prefetch_hits,
-        c.non_temporal,
-    )
-}
+/// The solo run's `sim.tallies` and `sim.latency` summaries as the
+/// simulator recorded them on every access, before it folded them from
+/// each quantum's counters. The fold must reproduce them exactly.
+const SOLO_LEVELS: [&str; 6] = [
+    "sim.tallies l1_hits=366738 l1_misses=609818 l2_hits=426842 l2_misses=182976 llc_hits=181825 \
+     llc_misses=1151 llc_fills=1405 llc_evictions=524 dram_writebacks=286 pf_issued=478216 \
+     pf_dropped=0 bypasses=0",
+    "sim.latency level=l1 count=366738 min=0 p50=0 p90=0 p99=0 max=0 mean=0",
+    "sim.latency level=l2 count=426842 min=12 p50=12 p90=12 p99=12 max=12 mean=12",
+    "sim.latency level=llc count=181825 min=30 p50=30 p90=30 p99=30 max=30 mean=30",
+    "sim.latency level=dram count=1151 min=220 p50=223 p90=223 p99=226 max=226 mean=220.8601216333623",
+    "sim.latency level=bypass count=0 min=0 p50=0 p90=0 p99=0 max=0 mean=0",
+];
 
 /// Serializes every run in this binary. The sink is process-global and
 /// the test harness runs `#[test]`s concurrently, so a run outside the
@@ -57,6 +42,12 @@ fn fingerprint(c: &HwCounters) -> String {
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with no sink installed.
+fn bare<T>(f: impl FnOnce() -> T) -> T {
+    let _gate = gate();
+    f()
 }
 
 /// Runs `f` with a collecting sink AND a live aggregating [`SeriesSink`]
@@ -73,27 +64,61 @@ fn with_sink<T>(f: impl FnOnce() -> T) -> (T, Vec<Event>, Arc<SeriesSink>) {
     (out, collect.take(), series)
 }
 
+/// The `sim.tallies` and `sim.latency` events as `name key=value ...`
+/// lines, in emission order.
+fn level_summaries(events: &[Event]) -> Vec<String> {
+    events
+        .iter()
+        .filter(|e| e.name == "sim.tallies" || e.name == "sim.latency")
+        .map(|e| {
+            let fields: Vec<String> = e
+                .fields
+                .iter()
+                .map(|(key, value)| match value {
+                    FieldValue::U64(v) => format!("{key}={v}"),
+                    FieldValue::F64(v) => format!("{key}={v}"),
+                    FieldValue::Str(v) => format!("{key}={v}"),
+                    other => format!("{key}={other:?}"),
+                })
+                .collect();
+            format!("{} {}", e.name, fields.join(" "))
+        })
+        .collect()
+}
+
 #[test]
 fn solo_golden_identical_with_live_sink() {
     let app = registry::by_name("429.mcf").expect("registered");
     let runner = Runner::new(RunnerConfig::test());
+    let unobserved = bare(|| runner.run_solo(&app, 4, 12));
     let (r, events, series) = with_sink(|| runner.run_solo(&app, 4, 12));
-    let got = format!("cycles={} {}", r.cycles, fingerprint(&r.counters));
-    assert_eq!(got, GOLDEN_SOLO, "telemetry perturbed the solo run");
+    assert_eq!(format!("{unobserved:?}"), format!("{r:?}"), "telemetry perturbed the solo run");
     // The aggregation layer must have folded events into series, and its
     // rendered records must satisfy the trace schema.
     assert!(series.series_count() > 0, "SeriesSink folded nothing");
     waypart::telemetry::schema::validate_jsonl(&series.render_jsonl())
         .expect("aggregate records validate");
     // The sink must actually have been live: a run span plus the
-    // feature-gated tallies snapshot.
+    // tallies and latency summaries.
     assert!(events.iter().any(|e| e.name == "runner.run" && e.kind == EventKind::Begin));
+    assert_eq!(level_summaries(&events), SOLO_LEVELS);
+    // Tallies must agree with every counter they mirror. A non-temporal
+    // access bypasses every level but counts as an L1 access and an LLC
+    // access and miss.
     let tallies = events.iter().find(|e| e.name == "sim.tallies").expect("tallies snapshot");
-    // Tallies must agree with the architectural counters they mirror.
-    assert_eq!(
-        tallies.get("llc_misses"),
-        Some(&waypart::telemetry::FieldValue::U64(r.counters.llc_misses))
-    );
+    let t = |key| match tallies.get(key) {
+        Some(FieldValue::U64(v)) => *v,
+        other => panic!("sim.tallies {key}: {other:?}"),
+    };
+    let c = &r.counters;
+    assert_eq!(t("l1_hits") + t("l1_misses") + t("bypasses"), c.l1_accesses);
+    assert_eq!(t("l1_misses"), c.l1_misses);
+    assert_eq!(t("l2_misses"), c.l2_misses);
+    assert_eq!(t("llc_misses") + t("bypasses"), c.llc_misses);
+    assert_eq!(t("llc_hits") + t("llc_misses") + t("bypasses"), c.llc_accesses);
+    assert_eq!(t("dram_writebacks"), c.dram_writebacks);
+    assert_eq!(t("pf_issued"), c.prefetches_issued);
+    assert_eq!(t("bypasses"), c.non_temporal);
 }
 
 #[test]
@@ -101,15 +126,10 @@ fn pair_golden_identical_with_live_sink() {
     let fg = registry::by_name("canneal").expect("registered");
     let bg = registry::by_name("462.libquantum").expect("registered");
     let runner = Runner::new(RunnerConfig::test());
-    let (r, events, _series) =
-        with_sink(|| runner.run_pair_endless_bg(&fg, &bg, PartitionPolicy::Biased { fg_ways: 8 }));
-    let got = format!(
-        "fg_cycles={} bg_i={} {}",
-        r.fg_cycles,
-        r.bg_instructions,
-        fingerprint(&r.fg_counters)
-    );
-    assert_eq!(got, GOLDEN_PAIR, "telemetry perturbed the pair run");
+    let policy = PartitionPolicy::Biased { fg_ways: 8 };
+    let unobserved = bare(|| runner.run_pair_endless_bg(&fg, &bg, policy));
+    let (r, events, _series) = with_sink(|| runner.run_pair_endless_bg(&fg, &bg, policy));
+    assert_eq!(format!("{unobserved:?}"), format!("{r:?}"), "telemetry perturbed the pair run");
     assert!(events.iter().any(|e| e.name == "runner.run" && e.kind == EventKind::End));
 }
 
@@ -122,13 +142,10 @@ fn dynamic_run_identical_with_and_without_sink() {
     let fg = registry::by_name("429.mcf").expect("registered");
     let bg = registry::by_name("swaptions").expect("registered");
     let runner = Runner::new(RunnerConfig::test());
-    let bare = {
-        let _gate = gate();
-        runner.run_pair_controlled(&fg, &bg, DynamicPartitioner::new(DynamicConfig::paper()))
-    };
+    let unobserved = bare(|| runner.run_pair_controlled(&fg, &bg, DynamicPartitioner::new(DynamicConfig::paper())));
     let (observed, events, series) =
         with_sink(|| runner.run_pair_controlled(&fg, &bg, DynamicPartitioner::new(DynamicConfig::paper())));
-    assert_eq!(format!("{bare:?}"), format!("{observed:?}"), "sink changed the dynamic run");
+    assert_eq!(format!("{unobserved:?}"), format!("{observed:?}"), "sink changed the dynamic run");
     let decisions = events.iter().filter(|e| e.name == "dyn.decision").count();
     let reallocs = events.iter().filter(|e| e.name == "dyn.realloc").count();
     assert!(decisions > 0, "controller emitted no decisions");
