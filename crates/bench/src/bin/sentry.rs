@@ -17,9 +17,13 @@
 //! last history line is the measurement and the earlier lines are the
 //! history.
 //!
-//! Exits nonzero only when some metric regresses beyond the noise band;
-//! missing metrics and short histories pass with a note, so the check is
-//! safe to wire into CI from the very first run.
+//! Exits 1 only when some metric regresses beyond the noise band (or
+//! the `--json` file cannot be written); missing metrics and short
+//! histories pass with a note, so the check is safe to wire into CI from
+//! the very first run. A usage error (unknown argument, a flag without
+//! its value, a `--noise` or `--z` that is not a finite non-negative
+//! number, no `--history`) prints the usage and exits 2, and so does an
+//! input file that cannot be read or parsed, named with its path.
 //!
 //! `--json FILE` additionally writes one machine-readable verdict record
 //! per judged metric (`{"record":"verdict","metric":...,"verdict":
@@ -27,11 +31,52 @@
 //! the schema the `validate_trace` binary accepts and the trend page
 //! (`report --history ... --verdicts FILE`) renders as badges.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use waypart_bench::sentry::{judge, Verdict, DEFAULT_NOISE_FRAC, DEFAULT_Z, MIN_HISTORY};
 use waypart_telemetry::schema::{parse_json, Json};
+
+/// The usage line, showing the default noise band and z.
+fn usage() -> String {
+    format!(
+        "usage: sentry --history BENCH_history.jsonl [--metric KEY]... [--current FILE.json] \
+         [--noise {DEFAULT_NOISE_FRAC}] [--z {DEFAULT_Z}] [--json FILE]"
+    )
+}
+
+/// Prints a usage error plus the usage line and exits 2.
+fn fail_usage(msg: &str) -> ! {
+    eprintln!("sentry: {msg}\n{}", usage());
+    std::process::exit(2);
+}
+
+/// Reports an input that cannot be used, naming it, and exits 2.
+fn fail_input(msg: impl std::fmt::Display) -> ! {
+    eprintln!("sentry: {msg}");
+    std::process::exit(2);
+}
+
+/// The value of flag `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| fail_usage(&format!("{flag} needs a value")))
+}
+
+/// The value of flag `flag`: a finite, non-negative number (an infinite
+/// band would pass every measurement).
+fn number(args: &mut impl Iterator<Item = String>, flag: &str) -> f64 {
+    let v = value(args, flag);
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => x,
+        _ => fail_usage(&format!("{flag} must be a non-negative number, got `{v}`")),
+    }
+}
+
+/// The text of input file `path`.
+fn read_input(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail_input(format!("{}: cannot read: {e}", path.display())))
+}
 
 /// Pulls a finite numeric metric out of one parsed history record.
 fn metric_value(record: &Json, key: &str) -> Option<f64> {
@@ -89,43 +134,20 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--history" => {
-                history_path = Some(PathBuf::from(args.next().expect("--history needs a path")))
-            }
-            "--current" => {
-                current_path = Some(PathBuf::from(args.next().expect("--current needs a path")))
-            }
-            "--metric" => metrics.push(args.next().expect("--metric needs a key")),
-            "--noise" => {
-                noise = args
-                    .next()
-                    .expect("--noise needs a fraction")
-                    .parse()
-                    .expect("--noise must be a number")
-            }
-            "--z" => z = args.next().expect("--z needs a value").parse().expect("--z must be a number"),
-            "--json" => json_path = Some(PathBuf::from(args.next().expect("--json needs a path"))),
+            "--history" => history_path = Some(PathBuf::from(value(&mut args, "--history"))),
+            "--current" => current_path = Some(PathBuf::from(value(&mut args, "--current"))),
+            "--metric" => metrics.push(value(&mut args, "--metric")),
+            "--noise" => noise = number(&mut args, "--noise"),
+            "--z" => z = number(&mut args, "--z"),
+            "--json" => json_path = Some(PathBuf::from(value(&mut args, "--json"))),
             "--help" | "-h" => {
-                println!(
-                    "usage: sentry --history BENCH_history.jsonl [--metric KEY]... \
-                     [--current FILE.json] [--noise {DEFAULT_NOISE_FRAC}] [--z {DEFAULT_Z}] \
-                     [--json FILE]"
-                );
+                println!("{}", usage());
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown argument `{other}` (see --help)");
-                return ExitCode::FAILURE;
-            }
+            other => fail_usage(&format!("unknown argument `{other}`")),
         }
     }
-    let history_path = match history_path {
-        Some(p) => p,
-        None => {
-            eprintln!("--history is required (see --help)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let history_path = history_path.unwrap_or_else(|| fail_usage("--history is required"));
     if metrics.is_empty() {
         // Cold time is the headline this engine optimizes (run-cache off,
         // every measurement simulated); the warm median and raw engine
@@ -151,40 +173,15 @@ fn main() -> ExitCode {
         ];
     }
 
-    let text = match std::fs::read_to_string(&history_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{}: cannot read: {e}", history_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut records = match parse_history(&text, &history_path.display().to_string()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("invalid history: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text = read_input(&history_path);
+    let mut records = parse_history(&text, &history_path.display().to_string())
+        .unwrap_or_else(|e| fail_input(format!("invalid history: {e}")));
 
     // The measurement under judgment: an explicit --current file, or the
     // newest history line (removed from the history it is judged against).
     let current = match &current_path {
-        Some(p) => {
-            let t = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{}: cannot read: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match parse_json(t.trim()) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("{}: invalid JSON: {e}", p.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+        Some(p) => parse_json(read_input(p).trim())
+            .unwrap_or_else(|e| fail_input(format!("{}: invalid JSON: {e}", p.display()))),
         None => match records.pop() {
             Some(j) => j,
             None => {

@@ -251,7 +251,8 @@ fn explain_trace(path: &str) -> Result<(), ExitCode> {
     let mut by_policy: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let Ok(j) = parse_json(line) else { continue };
-        // Aggregate records (series/hist/...) are not events.
+        // Records (`verdict`, or the aggregates of older traces) are not
+        // events.
         if j.get("record").is_some() {
             continue;
         }

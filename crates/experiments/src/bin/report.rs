@@ -1,10 +1,16 @@
 //! Offline occupancy dashboard: folds a JSONL trace (and optionally a
 //! metrics JSON) from `reproduce` into ONE self-contained static HTML
-//! file — inline SVG sparklines, an LLC-occupancy heatmap (cores × time),
-//! per-level latency-percentile tables, and a paper-delta table against
-//! the headline numbers of §6.3. No JavaScript, no stylesheets, no
-//! external references of any kind: the file renders from `file://` on an
-//! air-gapped machine.
+//! file — inline SVG sparklines of the counter windows, an LLC-occupancy
+//! heatmap (cores × time), per-level latency-percentile tables, and a
+//! paper-delta table against the headline numbers of §6.3. No
+//! JavaScript, no stylesheets, no external references of any kind: the
+//! file renders from `file://` on an air-gapped machine.
+//!
+//! Every panel is folded from the trace's raw events. The counter-window
+//! sparklines are the `mpki` and `ipc` fields of each track's
+//! `perfmon.window` events: one row per (field, track) with at least two
+//! windows, most windows first (then name, then track), at most 12 rows.
+//! Lines carrying a `record` key are counted but are not events.
 //!
 //! ```text
 //! report --trace PATH.jsonl [--metrics PATH.json] [--out report.html]
@@ -37,9 +43,15 @@
 //! `results/cache/`) carry `dyn.run` summaries but no `runner.run` spans
 //! or `sim.*` events; the report then shows an explicit "replayed from
 //! cache" banner and per-panel placeholders rather than empty plots.
+//!
+//! A usage error (unknown argument, a flag without its value, no mode)
+//! prints the usage and exits 2. So does an input file that cannot be
+//! read, or a trace, arena, history or verdicts file that does not parse;
+//! the message names the file. A `--metrics` file that does not parse is
+//! ignored with a warning. A page that cannot be written exits 1.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use waypart_experiments::report::Table;
@@ -97,10 +109,8 @@ struct TraceData {
     figure_secs: Vec<(String, f64)>,
     /// `dyn.run` summaries (fire even on a warm cache).
     dyn_runs: u64,
-    /// Aggregate `{"record":"series"}` lines: (name, tid, values).
-    series: Vec<(String, u32, Vec<f64>)>,
-    /// Fallback per-track MPKI from raw `perfmon.window` counters.
-    raw_mpki: BTreeMap<u32, Vec<f64>>,
+    /// `perfmon.window` values per (series name, track), in window order.
+    windows: BTreeMap<(&'static str, u32), Vec<f64>>,
 }
 
 impl TraceData {
@@ -119,24 +129,9 @@ fn parse_trace(text_body: &str) -> Result<TraceData, String> {
         }
         let j = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         d.total_lines += 1;
+        // Records (sentry verdicts, or the aggregates older traces
+        // carried) are not events.
         if j.get("record").is_some() {
-            if text(&j, "record").as_deref() == Some("series") {
-                if let (Some(name), Some(tid), Some(Json::Arr(pts))) =
-                    (text(&j, "name"), num(&j, "tid"), j.get("points"))
-                {
-                    let values = pts
-                        .iter()
-                        .filter_map(|p| match p {
-                            Json::Arr(pair) if pair.len() == 2 => match &pair[1] {
-                                Json::Num { value, .. } => Some(*value),
-                                _ => None,
-                            },
-                            _ => None,
-                        })
-                        .collect();
-                    d.series.push((name, tid as u32, values));
-                }
-            }
             continue;
         }
         let (name, kind) = match (text(&j, "name"), text(&j, "kind")) {
@@ -229,8 +224,10 @@ fn parse_trace(text_body: &str) -> Result<TraceData, String> {
             }
             ("dyn.run", "instant") => d.dyn_runs += 1,
             ("perfmon.window", "counter") => {
-                if let Some(mpki) = field_num(&j, "mpki") {
-                    d.raw_mpki.entry(tid).or_default().push(mpki);
+                for (field, series) in [("mpki", "perfmon.window.mpki"), ("ipc", "perfmon.window.ipc")] {
+                    if let Some(v) = field_num(&j, field) {
+                        d.windows.entry((series, tid)).or_default().push(v);
+                    }
                 }
             }
             _ => {}
@@ -318,33 +315,18 @@ fn build_html(d: &TraceData, metrics: Option<&Json>, trace_path: &str) -> String
     };
     body.push_str(&panel("Simulated runs", runs_body));
 
-    // ---- MPKI / IPC sparklines (aggregate series preferred, raw fallback)
-    let mut spark_rows: Vec<(String, u32, &Vec<f64>)> = d
-        .series
-        .iter()
-        .filter(|(name, _, values)| {
-            values.len() >= 2 && (name.ends_with(".mpki") || name.ends_with(".ipc"))
-        })
-        .map(|(name, tid, values)| (name.clone(), *tid, values))
-        .collect();
-    spark_rows.sort_by(|a, b| b.2.len().cmp(&a.2.len()).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-    let raw_rows: Vec<(String, u32, &Vec<f64>)> = if spark_rows.is_empty() {
-        d.raw_mpki
-            .iter()
-            .filter(|(_, v)| v.len() >= 2)
-            .map(|(tid, v)| ("perfmon.window.mpki".to_string(), *tid, v))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let all_rows: Vec<&(String, u32, &Vec<f64>)> =
-        spark_rows.iter().chain(raw_rows.iter()).take(12).collect();
-    let spark_body = if all_rows.is_empty() {
+    // ---- MPKI / IPC sparklines: the busiest tracks' counter windows
+    let mut spark_rows: Vec<(&(&str, u32), &Vec<f64>)> =
+        d.windows.iter().filter(|(_, values)| values.len() >= 2).collect();
+    // Most windows first; the map's (name, track) order breaks ties.
+    spark_rows.sort_by_key(|(_, values)| std::cmp::Reverse(values.len()));
+    spark_rows.truncate(12);
+    let spark_body = if spark_rows.is_empty() {
         placeholder("no counter-window series in this trace")
     } else {
         let mut html = String::from("<table><thead><tr><th>series</th><th>track</th>\
              <th>windows</th><th>mean</th><th>trend</th></tr></thead><tbody>");
-        for (name, tid, values) in all_rows {
+        for ((name, tid), values) in spark_rows {
             let mean = values.iter().sum::<f64>() / values.len() as f64;
             html.push_str(&format!(
                 "<tr><td>{}</td><td>{tid}</td><td>{}</td><td>{mean:.2}</td><td>{}</td></tr>",
@@ -556,16 +538,26 @@ const USAGE: &str = "usage: report --trace PATH.jsonl [--metrics PATH.json] [--o
      \u{20}      report --arena arena.json [--out arena.html]\n\
      \u{20}      report --check report.html";
 
-/// The value of path flag `flag`; a missing value prints the usage and
-/// exits 2 instead of panicking.
+/// Prints a usage error plus the usage block and exits 2.
+fn fail_usage(msg: &str) -> ! {
+    eprintln!("report: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Reports an input file that cannot be used, naming it, and exits 2.
+fn fail_input(path: &Path, msg: impl std::fmt::Display) -> ! {
+    eprintln!("report: {}: {msg}", path.display());
+    std::process::exit(2);
+}
+
+/// The text of input file `path`.
+fn read_input(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail_input(path, format!("cannot read: {e}")))
+}
+
+/// The value of path flag `flag`.
 fn path_arg(args: &mut impl Iterator<Item = String>, flag: &str) -> PathBuf {
-    match args.next() {
-        Some(v) => PathBuf::from(v),
-        None => {
-            eprintln!("report: {flag} needs a path\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
+    args.next().map(PathBuf::from).unwrap_or_else(|| fail_usage(&format!("{flag} needs a path")))
 }
 
 fn main() -> ExitCode {
@@ -590,22 +582,12 @@ fn main() -> ExitCode {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown argument `{other}` (see --help)");
-                return ExitCode::FAILURE;
-            }
+            other => fail_usage(&format!("unknown argument `{other}`")),
         }
     }
 
     if let Some(path) = check {
-        let html = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{}: cannot read: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = check_report(&html);
+        let violations = check_report(&read_input(&path));
         if violations.is_empty() {
             println!("{}: OK (well-formed, self-contained)", path.display());
             return ExitCode::SUCCESS;
@@ -619,20 +601,12 @@ fn main() -> ExitCode {
     // Arena mode: render the controller-arena page and exit.
     if let Some(arena_path) = arena {
         use waypart_experiments::arena::{render_arena_html, Arena};
-        let text_body = match std::fs::read_to_string(&arena_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{}: cannot read: {e}", arena_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let data: Arena = match serde::json::from_str(text_body.trim()) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{}: invalid arena data: {e:?} (expected the arena.json written by `reproduce --arena`)", arena_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
+        let data: Arena = serde::json::from_str(read_input(&arena_path).trim()).unwrap_or_else(|e| {
+            fail_input(
+                &arena_path,
+                format!("invalid arena data: {e:?} (expected the arena.json written by `reproduce --arena`)"),
+            )
+        });
         let html = render_arena_html(&data);
         let out = out.unwrap_or_else(|| PathBuf::from("arena.html"));
         if let Err(e) = std::fs::write(&out, &html) {
@@ -658,14 +632,7 @@ fn main() -> ExitCode {
         let mut seen = std::collections::BTreeSet::new();
         let mut text_body = String::new();
         for history_path in &histories {
-            let t = match std::fs::read_to_string(history_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{}: cannot read: {e}", history_path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            for line in t.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            for line in read_input(history_path).lines().map(str::trim).filter(|l| !l.is_empty()) {
                 let id = parse_json(line)
                     .ok()
                     .and_then(|v| text(&v, "session"))
@@ -679,27 +646,13 @@ fn main() -> ExitCode {
         let sessions = match trend::parse_history(&text_body) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("--history: invalid history: {e}");
-                return ExitCode::FAILURE;
+                eprintln!("report: --history: invalid history: {e}");
+                return ExitCode::from(2);
             }
         };
         let notes = match &verdicts {
-            Some(p) => {
-                let t = match std::fs::read_to_string(p) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("{}: cannot read: {e}", p.display());
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match trend::parse_verdicts(&t) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("{}: invalid verdicts: {e}", p.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+            Some(p) => trend::parse_verdicts(&read_input(p))
+                .unwrap_or_else(|e| fail_input(p, format!("invalid verdicts: {e}"))),
             None => Vec::new(),
         };
         let html = trend::render_trend_html(&sessions, &notes);
@@ -718,36 +671,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let trace = match trace {
-        Some(t) => t,
-        None => {
-            eprintln!("--trace is required (see --help)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text_body = match std::fs::read_to_string(&trace) {
-        Ok(t) => t,
+    let trace = trace.unwrap_or_else(|| fail_usage("--trace, --history, --arena or --check is required"));
+    let data = parse_trace(&read_input(&trace))
+        .unwrap_or_else(|e| fail_input(&trace, format!("invalid trace: {e}")));
+    let metrics_doc = metrics.as_ref().and_then(|p| match parse_json(read_input(p).trim()) {
+        Ok(j) => Some(j),
         Err(e) => {
-            eprintln!("{}: cannot read: {e}", trace.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let data = match parse_trace(&text_body) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{}: invalid trace: {e}", trace.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let metrics_doc = metrics.as_ref().and_then(|p| {
-        let t = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| panic!("{}: cannot read: {e}", p.display()));
-        match parse_json(t.trim()) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("{}: ignoring unparseable metrics: {e}", p.display());
-                None
-            }
+            eprintln!("{}: ignoring unparseable metrics: {e}", p.display());
+            None
         }
     });
     let html = build_html(&data, metrics_doc.as_ref(), &trace.display().to_string());
@@ -764,4 +695,56 @@ fn main() -> ExitCode {
         if data.is_cache_warm() { ", cache-warm" } else { "" },
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use waypart_telemetry::{Event, Stamp};
+
+    /// The (series, track, windows) rows of the counter-window panel, in
+    /// page order.
+    fn spark_rows(html: &str) -> Vec<(String, u32, usize)> {
+        let mut rows = Vec::new();
+        for row in html.split("<tr><td>perfmon.window.").skip(1) {
+            let cells: Vec<&str> = row.split("</td><td>").take(3).collect();
+            let name = format!("perfmon.window.{}", cells[0]);
+            rows.push((name, cells[1].parse().unwrap(), cells[2].parse().unwrap()));
+        }
+        rows
+    }
+
+    #[test]
+    fn counter_windows_plot_mpki_and_ipc_of_the_busiest_tracks() {
+        // Track t holds t + 1 windows; track 9 holds one, too few to plot.
+        let mut lines = Vec::new();
+        for tid in (1..=7).chain([9]) {
+            let n = if tid == 9 { 1 } else { tid as u64 + 1 };
+            for w in 0..n {
+                let mut e = Event::counter("perfmon.window", Stamp::Cycles(w * 100))
+                    .field("mpki", 2.0 * w as f64)
+                    .field("ipc", 0.5);
+                e.tid = tid;
+                lines.push(e.to_jsonl());
+            }
+        }
+        // Records are counted but are not events.
+        lines.push(
+            "{\"record\":\"verdict\",\"metric\":\"cold_s\",\"verdict\":\"pass\",\
+             \"current\":1,\"median\":1,\"threshold\":1,\"n\":3}"
+                .to_string(),
+        );
+        let d = parse_trace(&lines.join("\n")).expect("trace parses");
+        assert_eq!(d.total_lines, lines.len() as u64);
+        let rows = spark_rows(&build_html(&d, None, "t.jsonl"));
+        // 14 rows qualify; the 12 with most windows show, and at equal
+        // counts `ipc` sorts before `mpki`.
+        let want: Vec<(String, u32, usize)> = (2..=7)
+            .rev()
+            .flat_map(|tid| {
+                ["ipc", "mpki"].map(|f| (format!("perfmon.window.{f}"), tid, tid as usize + 1))
+            })
+            .collect();
+        assert_eq!(rows, want);
+    }
 }

@@ -43,12 +43,13 @@
 //! ## Telemetry
 //!
 //! `--trace PATH` (repeatable) streams the structured event log of the
-//! whole reproduction to `PATH` as JSON Lines, followed by the folded
-//! series/histogram records (validate with the `validate_trace` binary).
-//! `--metrics PATH` writes an aggregated metrics JSON (event counts/sums,
-//! per-figure wall-clock, cache traffic) and prints a summary table at
-//! the end. Telemetry observes and never steers: simulated results are
-//! byte-identical with or without these flags.
+//! whole reproduction to `PATH` as JSON Lines, one event per line and
+//! nothing else (validate with the `validate_trace` binary; `report`
+//! builds its dashboard from it). `--metrics PATH` writes an aggregated
+//! metrics JSON (event counts/sums, per-figure wall-clock, cache traffic)
+//! and prints a summary table at the end. Telemetry observes and never
+//! steers: simulated results are byte-identical with or without these
+//! flags.
 //!
 //! Every output — the `--out` directory and each `--trace` and
 //! `--metrics` file — is opened before anything simulates; a path that
@@ -66,7 +67,7 @@ use std::time::Instant;
 use waypart_core::runner::{FidelityMode, RunnerConfig};
 use waypart_experiments::*;
 use waypart_telemetry::progress;
-use waypart_telemetry::sinks::{JsonlSink, MetricsSink, MultiSink, SeriesSink};
+use waypart_telemetry::sinks::{JsonlSink, MetricsSink, MultiSink};
 use waypart_telemetry::{self as telemetry, Event, Stamp};
 
 // The option lines end in literal newlines, not `\` continuations, which
@@ -76,7 +77,7 @@ const USAGE: &str = "usage: reproduce [--scale test|bench|full] \
 [--metrics PATH] [--arena] [ARTIFACT...]
   --fidelity   exact (default), or sampled: each period measures one quantum
                and fast-forwards S more under functional warming (default 3)
-  --trace      write the JSONL event log and its folded series to PATH
+  --trace      write the JSONL event log to PATH
   --arena      race every registered controller over the headline pairs
                (same as the `arena` artifact; opt-in — not part of the
                default set; writes arena.json for `report --arena` next
@@ -242,16 +243,6 @@ fn main() {
         Some(m)
     } else {
         None
-    };
-    // Fold the event stream into named series/histograms in-process; the
-    // aggregate records are appended to the traces at the end so the
-    // `report` dashboard gets pre-downsampled data alongside raw events.
-    let series = if sinks.is_empty() {
-        None
-    } else {
-        let s = Arc::new(SeriesSink::new());
-        sinks.push(s.clone());
-        Some(s)
     };
     if !sinks.is_empty() {
         telemetry::set_sink(Arc::new(MultiSink::new(sinks)));
@@ -478,7 +469,7 @@ fn main() {
     println!("  {:<12} {other_s:>9.2}s  {:>5.1}%", "other", pct(other_s));
     println!("  accounted: {:.1}% of wall by instrumented phases", pct(phase_sum_s));
     // One counter event carrying the final per-phase totals, so JSONL
-    // traces and the series/hist aggregates record the attribution too.
+    // traces record the attribution too.
     telemetry::emit_with(|| {
         let mut ev = Event::counter("phase.seconds", Stamp::WallUs(telemetry::wall_now_us()));
         for (name, ns) in &phases {
@@ -534,11 +525,8 @@ fn main() {
         }
     }
     telemetry::clear_sink();
-    // The traces carry the aggregated series/hist records after the event
-    // lines (mixed files validate; see the schema module docs).
-    let records = series.map(|s| s.render_jsonl()).unwrap_or_default();
     for trace in &traces {
-        match trace.finish(&records) {
+        match trace.finish() {
             Ok(()) => println!("trace written to {}", trace.path().display()),
             Err(e) => {
                 eprintln!("reproduce: cannot write --trace {}: {e}", trace.path().display());

@@ -21,7 +21,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use waypart_core::controller::Controller;
@@ -45,8 +45,9 @@ pub struct Lab {
     /// identity can be assembled as more than one result). Never shared
     /// with a [`Lab::sibling`], whose runner config differs.
     memo: Mutex<HashMap<(RunIdentity, TypeId), Box<dyn Any + Send>>>,
-    /// Cache misses served from `memo` instead of simulated.
-    memo_served: AtomicU64,
+    /// Cache misses served from a memo instead of simulated, shared with
+    /// every [`Lab::sibling`] like the cache's counters.
+    memo_served: Arc<AtomicU64>,
 }
 
 impl Lab {
@@ -54,48 +55,47 @@ impl Lab {
     /// only (what unit tests want — no cross-process state).
     pub fn new(cfg: RunnerConfig) -> Self {
         let cache = RunCache::in_memory(&cfg);
-        Self::with_cache(cfg, cache)
+        Self::with_cache(cfg, cache, Arc::default())
     }
 
     /// A lab whose run cache also persists to disk (`results/cache/` or
     /// `$WAYPART_CACHE_DIR`), shared across processes and invocations.
     pub fn persistent(cfg: RunnerConfig) -> Self {
         let cache = RunCache::persistent_default(&cfg);
-        Self::with_cache(cfg, cache)
+        Self::with_cache(cfg, cache, Arc::default())
     }
 
     /// A lab persisted under an explicit cache directory (tests and
     /// tools that must not touch `results/cache/`).
     pub fn persistent_at(cfg: RunnerConfig, dir: PathBuf) -> Self {
         let cache = RunCache::persistent(&cfg, dir);
-        Self::with_cache(cfg, cache)
+        Self::with_cache(cfg, cache, Arc::default())
     }
 
-    fn with_cache(cfg: RunnerConfig, cache: RunCache) -> Self {
+    fn with_cache(cfg: RunnerConfig, cache: RunCache, memo_served: Arc<AtomicU64>) -> Self {
         Lab {
             runner: Runner::new(cfg),
             apps: registry::all(),
             cache,
             memo: Mutex::new(HashMap::new()),
-            memo_served: AtomicU64::new(0),
+            memo_served,
         }
     }
 
     /// A lab over a different runner configuration that inherits this
     /// lab's persistence mode. For experiments that need their own
     /// machine model (e.g. the page-coloring comparison, which requires
-    /// modulo indexing) while still sharing the on-disk store.
+    /// modulo indexing) while still sharing the on-disk store. Its cache
+    /// traffic and memo-served runs count in this lab's
+    /// [`Self::cache_stats`] and [`Self::memo_served`] (and the other way
+    /// round); its cache entries and memo are its own.
     pub fn sibling(&self, cfg: RunnerConfig) -> Self {
-        let cache = match self.cache.dir() {
-            Some(dir) => RunCache::persistent(&cfg, dir.clone()),
-            None => RunCache::in_memory(&cfg),
-        };
-        Self::with_cache(cfg, cache)
+        let cache = self.cache.sibling(&cfg);
+        Self::with_cache(cfg, cache, Arc::clone(&self.memo_served))
     }
 
-    /// Cache misses served by an identical simulation this lab already
-    /// ran under another key; the rest of `cache_stats().misses` were
-    /// simulated.
+    /// Cache misses served by an identical simulation already run under
+    /// another key; the rest of `cache_stats().misses` were simulated.
     pub fn memo_served(&self) -> u64 {
         self.memo_served.load(Ordering::Relaxed)
     }
@@ -155,7 +155,7 @@ impl Lab {
         &self.cache
     }
 
-    /// Cache counters since construction.
+    /// Cache counters since construction, siblings' included.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -471,6 +471,23 @@ mod tests {
         let stats = replay.cache_stats();
         assert_eq!((stats.misses, stats.disk_hits), (0, 3));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sibling_runs_count_in_the_parent_totals() {
+        let lab = Lab::new(RunnerConfig::test());
+        let sibling = lab.sibling(RunnerConfig::test_colored());
+        let app = lab.app("453.povray").clone();
+        // Single-threaded: the 2-thread key is served the 1-thread run.
+        sibling.solo(&app, 1, 4);
+        sibling.solo(&app, 2, 4);
+        sibling.solo(&app, 1, 4);
+        let stats = lab.cache_stats();
+        assert_eq!((stats.mem_hits, stats.misses, lab.memo_served()), (1, 2, 1));
+        // The memo stays per lab: the parent's config simulates afresh.
+        lab.solo(&app, 1, 4);
+        assert_eq!((lab.cache_stats().misses, lab.memo_served()), (3, 1));
+        assert_eq!((lab.cached_runs(), sibling.cached_runs()), (1, 2));
     }
 
     #[test]

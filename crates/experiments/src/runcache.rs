@@ -33,7 +33,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::json::{self, Value};
 use serde::{Deserialize, Serialize};
@@ -87,6 +87,19 @@ impl CacheStats {
     }
 }
 
+/// The live counters behind [`CacheStats`], shared by a cache and its
+/// siblings ([`RunCache::sibling`]).
+#[derive(Default)]
+struct Counters {
+    mem_hits: AtomicU64,
+    disk_hits: AtomicU64,
+    misses: AtomicU64,
+    invalid_entries: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+    write_errors: AtomicU64,
+}
+
 /// Two-level (memory + optional disk) run memo.
 pub struct RunCache {
     /// Full key → serialized result JSON.
@@ -95,13 +108,7 @@ pub struct RunCache {
     dir: Option<PathBuf>,
     /// FNV-1a of the canonical `RunnerConfig` JSON, baked into every key.
     cfg_hash: u64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    invalid_entries: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    write_errors: AtomicU64,
+    counters: Arc<Counters>,
     /// Every key suffix this cache was asked about (sorted, deduped) — a
     /// warm pass over the figure pipeline enumerates the full run grid
     /// here without simulating anything.
@@ -111,12 +118,12 @@ pub struct RunCache {
 impl RunCache {
     /// A cache that memoizes only within this process.
     pub fn in_memory(cfg: &RunnerConfig) -> Self {
-        Self::build(cfg, None)
+        Self::build(cfg, None, Arc::default())
     }
 
     /// A cache persisted under `dir` (created on first write).
     pub fn persistent(cfg: &RunnerConfig, dir: PathBuf) -> Self {
-        Self::build(cfg, Some(dir))
+        Self::build(cfg, Some(dir), Arc::default())
     }
 
     /// A persistent cache at the default location: `$WAYPART_CACHE_DIR`
@@ -128,37 +135,35 @@ impl RunCache {
         Self::persistent(cfg, dir)
     }
 
-    fn build(cfg: &RunnerConfig, dir: Option<PathBuf>) -> Self {
+    fn build(cfg: &RunnerConfig, dir: Option<PathBuf>, counters: Arc<Counters>) -> Self {
         RunCache {
             mem: Mutex::new(HashMap::new()),
             dir,
             cfg_hash: fnv1a(json::to_string(cfg).as_bytes()),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalid_entries: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
+            counters,
             seen: Mutex::new(BTreeSet::new()),
         }
     }
 
-    /// The disk directory, if persistent.
-    pub fn dir(&self) -> Option<&PathBuf> {
-        self.dir.as_ref()
+    /// A cache for another runner configuration in the same place (this
+    /// cache's directory, or memory only) that counts into this cache's
+    /// [`Self::stats`]: the two share one set of counters, so either
+    /// reports both. Entries and seen keys stay per cache.
+    pub fn sibling(&self, cfg: &RunnerConfig) -> Self {
+        Self::build(cfg, self.dir.clone(), Arc::clone(&self.counters))
     }
 
-    /// Counters since construction.
+    /// Counters since construction, siblings' traffic included.
     pub fn stats(&self) -> CacheStats {
+        let c = &self.counters;
         CacheStats {
-            mem_hits: self.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalid_entries: self.invalid_entries.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
+            mem_hits: c.mem_hits.load(Ordering::Relaxed),
+            disk_hits: c.disk_hits.load(Ordering::Relaxed),
+            misses: c.misses.load(Ordering::Relaxed),
+            invalid_entries: c.invalid_entries.load(Ordering::Relaxed),
+            bytes_read: c.bytes_read.load(Ordering::Relaxed),
+            bytes_written: c.bytes_written.load(Ordering::Relaxed),
+            write_errors: c.write_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -205,13 +210,13 @@ impl RunCache {
 
         if let Some(text) = self.mem.lock().expect("run cache").get(&key) {
             let value = json::from_str::<T>(text).expect("corrupt in-memory cache entry");
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.mem_hits.fetch_add(1, Ordering::Relaxed);
             self.emit_lookup(key_suffix, "mem_hit");
             return Some(value);
         }
 
         if let Some(value) = self.load_disk::<T>(&key) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.emit_lookup(key_suffix, "disk_hit");
             return Some(value);
         }
@@ -223,7 +228,7 @@ impl RunCache {
     pub fn insert<T: Serialize>(&self, key_suffix: &str, value: &T) {
         let key = self.full_key(key_suffix);
         self.record_seen(key_suffix);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         self.emit_lookup(key_suffix, "miss");
         let text = json::to_string(value);
         self.store_disk(&key, &text);
@@ -274,13 +279,13 @@ impl RunCache {
         let text = std::fs::read_to_string(path).ok();
         progress::phase_add(Phase::RuncacheIo, io_t0);
         let text = text?;
-        self.bytes_read.fetch_add(text.len() as u64, Ordering::Relaxed);
+        self.counters.bytes_read.fetch_add(text.len() as u64, Ordering::Relaxed);
         let loaded = self.parse_entry::<T>(key, &text);
         if loaded.is_none() {
             // The file existed but didn't validate: torn write, stale
             // schema, or a key collision. Count it; the caller treats it
             // as a miss and the re-run's store overwrites it atomically.
-            self.invalid_entries.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalid_entries.fetch_add(1, Ordering::Relaxed);
         }
         loaded
     }
@@ -335,7 +340,7 @@ impl RunCache {
                     let _ = std::fs::remove_file(&tmp);
                 }
                 Ok(()) => {
-                    self.bytes_written.fetch_add(len, Ordering::Relaxed);
+                    self.counters.bytes_written.fetch_add(len, Ordering::Relaxed);
                 }
             },
         }
@@ -345,7 +350,7 @@ impl RunCache {
     /// Counts one failed disk store and emits a `cache.write_error`
     /// telemetry event naming the failing operation.
     fn count_write_error(&self, op: &'static str, err: &std::io::Error) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.write_errors.fetch_add(1, Ordering::Relaxed);
         use waypart_telemetry as telemetry;
         telemetry::emit_with(|| {
             telemetry::Event::instant(
@@ -354,7 +359,7 @@ impl RunCache {
             )
             .field("op", op)
             .field("error", err.to_string().as_str())
-            .field("write_errors", self.write_errors.load(Ordering::Relaxed))
+            .field("write_errors", self.counters.write_errors.load(Ordering::Relaxed))
         });
     }
 }

@@ -1,4 +1,6 @@
-//! MPKI time series (the substance of Figure 12).
+//! MPKI time series (the substance of Figure 12), plus the series
+//! algorithms behind it: [`mean`] and the debounced [`regime_transitions`]
+//! check of Fig 12's phase changes.
 
 use crate::sampler::Sample;
 use serde::{Deserialize, Serialize};
@@ -34,23 +36,16 @@ impl MpkiSeries {
 
     /// Mean window MPKI.
     pub fn mean(&self) -> f64 {
-        waypart_telemetry::series::mean(self.points.iter().map(|p| p.1))
+        mean(self.points.iter().map(|p| p.1))
     }
 
     /// Counts transitions between "low" and "high" MPKI regimes relative
     /// to `threshold`, requiring `min_run` consecutive windows on a side
     /// before a crossing counts (debounce). Used to verify the model
-    /// reproduces `429.mcf`'s five phase transitions (Fig 12).
-    ///
-    /// This type is the serde-friendly Fig 12 adapter; the algorithm
-    /// lives in [`waypart_telemetry::series::regime_transitions`] so the
-    /// dashboard aggregates and the figure checks can never drift apart.
+    /// reproduces `429.mcf`'s five phase transitions (Fig 12); see
+    /// [`regime_transitions`].
     pub fn regime_transitions(&self, threshold: f64, min_run: usize) -> usize {
-        waypart_telemetry::series::regime_transitions(
-            self.points.iter().map(|p| p.1),
-            threshold,
-            min_run,
-        )
+        regime_transitions(self.points.iter().map(|p| p.1), threshold, min_run)
     }
 
     /// Number of windows recorded.
@@ -68,6 +63,55 @@ impl FromIterator<(u64, f64)> for MpkiSeries {
     fn from_iter<T: IntoIterator<Item = (u64, f64)>>(iter: T) -> Self {
         MpkiSeries { points: iter.into_iter().collect() }
     }
+}
+
+/// Mean of a value stream (0 when empty).
+pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut sum, mut n) = (0.0, 0u64);
+    for v in values {
+        sum += v;
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// Counts transitions between "low" and "high" regimes relative to
+/// `threshold`, requiring `min_run` consecutive samples on a side before
+/// a crossing counts (debounce). `min_run` of 0 behaves like 1 — a
+/// single sample is always a run of length ≥ 1 — so every undebounced
+/// crossing counts.
+pub fn regime_transitions(
+    values: impl IntoIterator<Item = f64>,
+    threshold: f64,
+    min_run: usize,
+) -> usize {
+    let mut transitions = 0;
+    let mut side: Option<bool> = None;
+    let mut run = 0usize;
+    let mut pending: Option<bool> = None;
+    for v in values {
+        let s = v > threshold;
+        match pending {
+            Some(p) if p == s => run += 1,
+            _ => {
+                pending = Some(s);
+                run = 1;
+            }
+        }
+        if run >= min_run {
+            if let Some(cur) = side {
+                if cur != s {
+                    transitions += 1;
+                }
+            }
+            side = Some(s);
+        }
+    }
+    transitions
 }
 
 #[cfg(test)]
@@ -122,6 +166,28 @@ mod tests {
             vec![(0, 1.0), (1, 9.0), (2, 1.0), (3, 9.0)].into_iter().collect();
         assert_eq!(s.regime_transitions(5.0, 0), 3);
         assert_eq!(s.regime_transitions(5.0, 1), 3);
+    }
+
+    #[test]
+    fn mean_and_transitions_match_module_functions() {
+        let vals = [1.0, 1.0, 9.0, 9.0, 1.0, 1.0];
+        let s: MpkiSeries = vals.iter().enumerate().map(|(i, &v)| (i as u64, v)).collect();
+        assert_eq!(s.mean(), mean(vals));
+        assert_eq!(s.regime_transitions(5.0, 2), 2);
+        assert_eq!(regime_transitions(vals, 5.0, 2), 2);
+    }
+
+    #[test]
+    fn regime_transitions_min_run_zero_acts_like_one() {
+        let vals = [1.0, 9.0, 1.0, 9.0];
+        assert_eq!(regime_transitions(vals, 5.0, 0), 3);
+        assert_eq!(regime_transitions(vals, 5.0, 1), 3);
+    }
+
+    #[test]
+    fn regime_transitions_edge_cases() {
+        assert_eq!(regime_transitions([], 5.0, 2), 0);
+        assert_eq!(regime_transitions([9.0], 5.0, 1), 0, "single sample cannot transition");
     }
 
     #[test]

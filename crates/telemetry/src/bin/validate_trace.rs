@@ -2,10 +2,10 @@
 //!
 //! Usage: `validate_trace <trace.jsonl> [...]`
 //!
-//! Each file is checked line-by-line against the event and
-//! aggregate-record schema (see `waypart_telemetry::schema`); event and
-//! series/hist record lines may be mixed. Exits nonzero on the first
-//! invalid file; used by `scripts/ci.sh`.
+//! Each file is checked line-by-line against the trace schema (see
+//! `waypart_telemetry::schema`): event lines, mixed with the `verdict`
+//! records `sentry --json` writes. Exits nonzero on the first invalid
+//! file; used by `scripts/ci.sh`.
 
 use std::process::ExitCode;
 

@@ -48,7 +48,7 @@ pub enum EventKind {
     End,
     /// A point-in-time marker.
     Instant,
-    /// A counter sample; numeric fields become series.
+    /// A counter sample, e.g. one `perfmon.window` per sampling window.
     Counter,
 }
 

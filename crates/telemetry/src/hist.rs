@@ -12,6 +12,10 @@
 //! bucket upper bounds clamped to the observed max, so every estimate
 //! `est` of a true quantile `q` satisfies `q ≤ est ≤ q + q/SUBBUCKETS + 1`
 //! (the property tests pin this).
+//!
+//! The simulator folds each run's per-level access latencies into these
+//! and emits them as the run's `sim.latency` summary events (count, min,
+//! p50/p90/p99, max, mean); a trace carries those events, not buckets.
 
 /// Linear sub-buckets per power-of-two octave (must be a power of two).
 pub const SUBBUCKETS: u64 = 16;
@@ -171,41 +175,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(idx, &n)| (bucket_lower(idx), n))
-    }
-
-    /// Renders this histogram as one `{"record":"hist",...}` JSONL line
-    /// (no trailing newline); see [`crate::schema`] for the contract.
-    pub fn to_json_record(&self, name: &str) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"record\":\"hist\",\"name\":");
-        crate::event::push_json_str(&mut out, name);
-        out.push_str(&format!(
-            ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max(),
-            self.p50(),
-            self.p90(),
-            self.p99()
-        ));
-        for (i, (lower, n)) in self.buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{lower},{n}]"));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -260,17 +229,5 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!((h.count(), h.min(), h.max(), h.p99()), (0, 0, 0, 0));
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn json_record_shape() {
-        let mut h = Histogram::new();
-        h.record(7);
-        h.record_n(1000, 3);
-        let line = h.to_json_record("sim.latency.llc");
-        assert!(line.starts_with("{\"record\":\"hist\",\"name\":\"sim.latency.llc\""));
-        assert!(line.contains("\"count\":4"));
-        assert!(line.contains("\"buckets\":[[7,1],["));
-        crate::schema::validate_line(&line).expect("hist record validates");
     }
 }

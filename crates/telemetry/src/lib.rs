@@ -9,6 +9,11 @@
 //! and run-cache lookup can be exported as a machine-readable event
 //! stream without perturbing the simulation.
 //!
+//! The event stream is the one trace format: [`sinks::JsonlSink`] writes
+//! it one event per line ([`schema`]), [`sinks::MetricsSink`] counts and
+//! sums it per event name, and readers (the `report` dashboard, `probe
+//! explain`) fold what they show from the raw events themselves.
+//!
 //! ## Design rules
 //!
 //! 1. **Two clocks, never mixed.** Events from simulated code are stamped
@@ -42,12 +47,10 @@ pub mod event;
 pub mod hist;
 pub mod progress;
 pub mod schema;
-pub mod series;
 pub mod sinks;
 
 pub use event::{Event, EventKind, FieldValue, Stamp};
 pub use hist::Histogram;
-pub use series::TimeSeries;
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -129,9 +132,10 @@ pub fn wall_now_us() -> u64 {
 // ------------------------------------------------------------------ tracks
 //
 // Cycle-stamped events restart at cycle 0 for every run, so putting two
-// runs on one track would overlay their spans and interleave their series. Each run instead
-// claims a fresh *sim track* id and installs it thread-locally; every
-// cycle-stamped event emitted while the run executes lands on that track.
+// runs on one track would overlay their spans and interleave their
+// counter windows. Each run instead claims a fresh *sim track* id and
+// installs it thread-locally; every cycle-stamped event emitted while
+// the run executes lands on that track.
 // Wall-stamped events use a per-host-thread id so host activity nests
 // correctly per thread.
 

@@ -13,27 +13,16 @@
 //!  "fields": {"raw_mpki": 12.3}}     // object of scalars (string/number/bool/null)
 //! ```
 //!
-//! — or an **aggregate record**, marked by a `record` key. Three record
-//! types exist (key sets again exact). `series` and `hist` are produced
-//! by `sinks::SeriesSink`:
-//!
-//! ```json
-//! {"record": "series", "name": "perfmon.window.mpki", "tid": 3,
-//!  "clock": "cycles", "stride": 1, "total": 42,
-//!  "points": [[160000, 12.3], [320000, 11.9]]}
-//!
-//! {"record": "hist", "name": "figure.run.seconds_us",
-//!  "count": 4, "sum": 3100000, "min": 250000, "max": 1500000,
-//!  "p50": 700000, "p90": 1500000, "p99": 1500000,
-//!  "buckets": [[245760, 1], [688128, 2], [1441792, 1]]}
-//! ```
-//!
-//! `verdict` is a machine-readable sentry judgement (`sentry --json`):
+//! — or a **record**, marked by a `record` key. `verdict` is the one
+//! record kind (key set again exact): a machine-readable sentry
+//! judgement (`sentry --json`):
 //!
 //! ```json
 //! {"record": "verdict", "metric": "current_cold_s", "verdict": "pass",
 //!  "current": 1.2, "median": 1.1, "threshold": 1.4, "n": 5}
 //! ```
+//!
+//! A `reproduce --trace` file holds events only.
 //!
 //! The validator is used by `scripts/ci.sh` via the `validate_trace`
 //! binary, and is deliberately `jq`-free: it ships its own minimal JSON
@@ -253,19 +242,14 @@ const REQUIRED_KEYS: [&str; 6] = ["name", "kind", "clock", "ts", "tid", "fields"
 const KINDS: [&str; 4] = ["begin", "end", "instant", "counter"];
 /// Legal `clock` values.
 const CLOCKS: [&str; 2] = ["cycles", "wall_us"];
-/// The exact key set of a `{"record":"series",...}` line.
-const SERIES_KEYS: [&str; 7] = ["record", "name", "tid", "clock", "stride", "total", "points"];
-/// The exact key set of a `{"record":"hist",...}` line.
-const HIST_KEYS: [&str; 10] =
-    ["record", "name", "count", "sum", "min", "max", "p50", "p90", "p99", "buckets"];
 /// The exact key set of a `{"record":"verdict",...}` line (`sentry --json`).
 const VERDICT_KEYS: [&str; 7] =
     ["record", "metric", "verdict", "current", "median", "threshold", "n"];
 /// Legal `verdict` values.
 const VERDICTS: [&str; 4] = ["pass", "regression", "insufficient_history", "skip"];
 
-/// Validates one JSONL line — an event or an aggregate record — against
-/// the schema in the module docs.
+/// Validates one JSONL line — an event or a verdict record — against the
+/// schema in the module docs.
 pub fn validate_line(line: &str) -> Result<(), String> {
     let v = parse_json(line)?;
     let fields = match &v {
@@ -317,113 +301,45 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates an aggregate-record line (`record` key present).
+/// Validates a record line (`record` key present); `verdict` is the only
+/// record kind.
 fn validate_record(v: &Json, fields: &[(String, Json)]) -> Result<(), String> {
-    let kind = match v.get("record") {
-        Some(Json::Str(s)) => s.as_str(),
+    match v.get("record") {
+        Some(Json::Str(s)) if s == "verdict" => {}
+        Some(Json::Str(s)) => return Err(format!("`record` must be \"verdict\", got `{s}`")),
         other => return Err(format!("`record` must be a string, got {other:?}")),
-    };
-    let required: &[&str] = match kind {
-        "series" => &SERIES_KEYS,
-        "hist" => &HIST_KEYS,
-        "verdict" => &VERDICT_KEYS,
-        _ => {
-            return Err(format!(
-                "`record` must be \"series\", \"hist\", or \"verdict\", got `{kind}`"
-            ))
-        }
-    };
-    for key in required {
+    }
+    for key in VERDICT_KEYS {
         if v.get(key).is_none() {
-            return Err(format!("{kind} record missing required key `{key}`"));
+            return Err(format!("verdict record missing required key `{key}`"));
         }
     }
     for (k, _) in fields {
-        if !required.contains(&k.as_str()) {
-            return Err(format!("unknown key `{k}` in {kind} record"));
+        if !VERDICT_KEYS.contains(&k.as_str()) {
+            return Err(format!("unknown key `{k}` in verdict record"));
         }
     }
-    if matches!(kind, "series" | "hist") {
-        match v.get("name") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err("`name` must be a non-empty string".into()),
+    match v.get("metric") {
+        Some(Json::Str(s)) if !s.is_empty() => {}
+        _ => return Err("`metric` must be a non-empty string".into()),
+    }
+    match v.get("verdict") {
+        Some(Json::Str(s)) if VERDICTS.contains(&s.as_str()) => {}
+        other => return Err(format!("`verdict` must be one of {VERDICTS:?}, got {other:?}")),
+    }
+    for key in ["current", "median", "threshold"] {
+        match v.get(key) {
+            Some(Json::Null) | Some(Json::Num { .. }) => {}
+            other => return Err(format!("`{key}` must be null or a number, got {other:?}")),
         }
     }
-    match kind {
-        "series" => {
-            match v.get("clock") {
-                Some(Json::Str(s)) if CLOCKS.contains(&s.as_str()) => {}
-                other => return Err(format!("`clock` must be one of {CLOCKS:?}, got {other:?}")),
-            }
-            for key in ["tid", "total"] {
-                non_neg_int(v, key)?;
-            }
-            match v.get("stride") {
-                Some(Json::Num { value, is_int }) if *is_int && *value >= 1.0 => {}
-                other => return Err(format!("`stride` must be a positive integer, got {other:?}")),
-            }
-            pair_array(v, "points", |second| matches!(second, Json::Num { .. }))
-        }
-        "hist" => {
-            for key in ["count", "sum", "min", "max", "p50", "p90", "p99"] {
-                non_neg_int(v, key)?;
-            }
-            pair_array(v, "buckets", |second| {
-                matches!(second, Json::Num { value, is_int } if *is_int && *value >= 1.0)
-            })
-        }
-        "verdict" => {
-            match v.get("metric") {
-                Some(Json::Str(s)) if !s.is_empty() => {}
-                _ => return Err("`metric` must be a non-empty string".into()),
-            }
-            match v.get("verdict") {
-                Some(Json::Str(s)) if VERDICTS.contains(&s.as_str()) => {}
-                other => return Err(format!("`verdict` must be one of {VERDICTS:?}, got {other:?}")),
-            }
-            for key in ["current", "median", "threshold"] {
-                match v.get(key) {
-                    Some(Json::Null) | Some(Json::Num { .. }) => {}
-                    other => return Err(format!("`{key}` must be null or a number, got {other:?}")),
-                }
-            }
-            non_neg_int(v, "n")
-        }
-        _ => unreachable!("record kind checked above"),
-    }
-}
-
-fn non_neg_int(v: &Json, key: &str) -> Result<(), String> {
-    match v.get(key) {
+    match v.get("n") {
         Some(Json::Num { value, is_int }) if *is_int && *value >= 0.0 => Ok(()),
-        other => Err(format!("`{key}` must be a non-negative integer, got {other:?}")),
+        other => Err(format!("`n` must be a non-negative integer, got {other:?}")),
     }
 }
 
-/// Checks that `key` is an array of `[non-negative-int, X]` pairs where
-/// `ok_second` accepts X.
-fn pair_array(v: &Json, key: &str, ok_second: impl Fn(&Json) -> bool) -> Result<(), String> {
-    let items = match v.get(key) {
-        Some(Json::Arr(items)) => items,
-        other => return Err(format!("`{key}` must be an array, got {other:?}")),
-    };
-    for (i, item) in items.iter().enumerate() {
-        let pair = match item {
-            Json::Arr(pair) if pair.len() == 2 => pair,
-            _ => return Err(format!("`{key}[{i}]` must be a 2-element array")),
-        };
-        match &pair[0] {
-            Json::Num { value, is_int } if *is_int && *value >= 0.0 => {}
-            _ => return Err(format!("`{key}[{i}][0]` must be a non-negative integer")),
-        }
-        if !ok_second(&pair[1]) {
-            return Err(format!("`{key}[{i}][1]` has the wrong type"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a whole JSONL document (events and aggregate records may be
+/// Validates a whole JSONL document (events and verdict records may be
 /// mixed freely); returns the number of non-empty lines. Empty lines are
 /// ignored; the first invalid line fails with its number.
 pub fn validate_jsonl(text: &str) -> Result<usize, String> {
@@ -490,18 +406,22 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_records_validate() {
+    fn aggregate_records_are_rejected() {
+        // The `series` and `hist` aggregate records traces once carried:
+        // well-formed, and no longer part of the schema.
         let series = "{\"record\":\"series\",\"name\":\"perfmon.window.mpki\",\"tid\":3,\
                       \"clock\":\"cycles\",\"stride\":2,\"total\":42,\
                       \"points\":[[160000,12.3],[320000,11.9]]}";
         let hist = "{\"record\":\"hist\",\"name\":\"figure.run.seconds_us\",\"count\":4,\
                     \"sum\":3100000,\"min\":250000,\"max\":1500000,\"p50\":700000,\
                     \"p90\":1500000,\"p99\":1500000,\"buckets\":[[245760,1],[688128,3]]}";
-        validate_line(series).expect("series record");
-        validate_line(hist).expect("hist record");
-        // Mixed event + record documents validate as a whole.
+        for (line, kind) in [(series, "series"), (hist, "hist")] {
+            let err = validate_line(line).unwrap_err();
+            assert_eq!(err, format!("`record` must be \"verdict\", got `{kind}`"));
+        }
         let ev = Event::instant("a.b", Stamp::WallUs(1)).to_jsonl();
-        assert_eq!(validate_jsonl(&format!("{ev}\n{series}\n{hist}\n")), Ok(3));
+        let err = validate_jsonl(&format!("{ev}\n{series}\n")).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]
@@ -533,43 +453,30 @@ mod tests {
 
     #[test]
     fn rejects_bad_records() {
-        assert!(validate_line("{\"record\":\"blob\",\"name\":\"x\"}")
-            .unwrap_err()
-            .contains("\"series\", \"hist\", or \"verdict\""));
+        let err = validate_line("{\"record\":\"blob\",\"name\":\"x\"}").unwrap_err();
+        assert!(err.contains("`record` must be \"verdict\""), "{err}");
+        assert!(validate_line("{\"record\":7}").unwrap_err().contains("must be a string"));
         // Missing key.
         let err = validate_line(
-            "{\"record\":\"series\",\"name\":\"x\",\"tid\":0,\"clock\":\"cycles\",\
-             \"stride\":1,\"total\":0}",
+            "{\"record\":\"verdict\",\"metric\":\"x\",\"verdict\":\"pass\",\
+             \"current\":1,\"median\":1,\"threshold\":1}",
         )
         .unwrap_err();
-        assert!(err.contains("missing required key `points`"), "{err}");
+        assert!(err.contains("missing required key `n`"), "{err}");
         // Unknown key.
         let err = validate_line(
-            "{\"record\":\"series\",\"name\":\"x\",\"tid\":0,\"clock\":\"cycles\",\
-             \"stride\":1,\"total\":0,\"points\":[],\"extra\":1}",
+            "{\"record\":\"verdict\",\"metric\":\"x\",\"verdict\":\"pass\",\
+             \"current\":1,\"median\":1,\"threshold\":1,\"n\":3,\"extra\":1}",
         )
         .unwrap_err();
         assert!(err.contains("unknown key `extra`"), "{err}");
-        // Malformed pair arrays.
+        // `n` counts history entries.
         let err = validate_line(
-            "{\"record\":\"series\",\"name\":\"x\",\"tid\":0,\"clock\":\"cycles\",\
-             \"stride\":1,\"total\":1,\"points\":[[1,2,3]]}",
+            "{\"record\":\"verdict\",\"metric\":\"x\",\"verdict\":\"pass\",\
+             \"current\":1,\"median\":1,\"threshold\":1,\"n\":1.5}",
         )
         .unwrap_err();
-        assert!(err.contains("2-element"), "{err}");
-        // Hist bucket counts must be positive integers.
-        let err = validate_line(
-            "{\"record\":\"hist\",\"name\":\"x\",\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\
-             \"p50\":1,\"p90\":1,\"p99\":1,\"buckets\":[[1,0]]}",
-        )
-        .unwrap_err();
-        assert!(err.contains("buckets[0][1]"), "{err}");
-        // Stride 0 is meaningless.
-        assert!(validate_line(
-            "{\"record\":\"series\",\"name\":\"x\",\"tid\":0,\"clock\":\"cycles\",\
-             \"stride\":0,\"total\":0,\"points\":[]}",
-        )
-        .is_err());
+        assert!(err.contains("`n` must be a non-negative integer"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Event sinks: in-memory collection, JSONL streaming, metric
-//! aggregation, and series/histogram folding.
+//! Event sinks: in-memory collection, JSONL streaming and per-name
+//! metric sums.
 //!
 //! All sinks are `Send + Sync` (sweep workers emit concurrently) and all
 //! of them treat I/O errors as non-fatal: telemetry must never abort a
-//! measurement run.
+//! measurement run. A trace file holds events only; anything a reader
+//! plots (the dashboard's counter windows, its occupancy heatmap) it
+//! folds from those events.
 
-use crate::event::{push_json_str, push_json_value, Event, EventKind, FieldValue};
-use crate::hist::Histogram;
-use crate::series::TimeSeries;
+use crate::event::{push_json_str, push_json_value, Event, FieldValue};
 use crate::Sink;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -94,12 +94,10 @@ impl JsonlSink {
         &self.path
     }
 
-    /// Appends `tail` after the events and flushes, returning the write
-    /// error that [`Sink::flush`] has to drop.
-    pub fn finish(&self, tail: &str) -> std::io::Result<()> {
-        let mut out = self.out.lock().expect("jsonl sink");
-        out.write_all(tail.as_bytes())?;
-        out.flush()
+    /// Flushes the events, returning the write error that [`Sink::flush`]
+    /// has to drop.
+    pub fn finish(&self) -> std::io::Result<()> {
+        self.out.lock().expect("jsonl sink").flush()
     }
 }
 
@@ -231,146 +229,6 @@ impl Sink for MetricsSink {
     }
 }
 
-/// Folds the raw event stream into named [`TimeSeries`] and
-/// [`Histogram`]s in-process — the aggregation layer every serving stack
-/// puts on top of its span/event firehose.
-///
-/// Folding rules (deliberately mechanical, so producers don't need to
-/// know about this sink):
-///
-/// * every numeric field of a `counter` or `instant` event becomes a
-///   point in the series `"{event}.{field}"`, keyed by the event's track
-///   id (each simulated run restarts its cycle clock, so series from
-///   different runs must not interleave);
-/// * a `seconds` field on an `end` event (the span-duration convention
-///   used by `figure.run`) is additionally recorded — in microseconds —
-///   into the histogram `"{event}.seconds_us"`.
-///
-/// The series population is capped: a full `reproduce` executes
-/// thousands of runs, each with its own track, and an unbounded map
-/// would defeat the series' own O(capacity) bound. Past the cap, new
-/// (name, tid) keys are dropped and counted.
-pub struct SeriesSink {
-    state: Mutex<SeriesState>,
-    capacity: usize,
-    max_series: usize,
-}
-
-#[derive(Default)]
-struct SeriesState {
-    series: BTreeMap<(String, u32), TimeSeries>,
-    hists: BTreeMap<String, Histogram>,
-    dropped_series: u64,
-}
-
-impl Default for SeriesSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SeriesSink {
-    /// Per-series point capacity and the default series-count cap.
-    pub const DEFAULT_CAPACITY: usize = 512;
-    /// Default cap on distinct (name, tid) series.
-    pub const DEFAULT_MAX_SERIES: usize = 4096;
-
-    /// A sink with the default capacities.
-    pub fn new() -> Self {
-        Self::with_limits(Self::DEFAULT_CAPACITY, Self::DEFAULT_MAX_SERIES)
-    }
-
-    /// A sink whose series hold at most `capacity` points each, with at
-    /// most `max_series` distinct (name, tid) series.
-    pub fn with_limits(capacity: usize, max_series: usize) -> Self {
-        SeriesSink { state: Mutex::new(SeriesState::default()), capacity, max_series }
-    }
-
-    /// Number of distinct series folded so far.
-    pub fn series_count(&self) -> usize {
-        self.state.lock().expect("series sink").series.len()
-    }
-
-    /// Number of distinct histograms folded so far.
-    pub fn hist_count(&self) -> usize {
-        self.state.lock().expect("series sink").hists.len()
-    }
-
-    /// Series dropped by the `max_series` cap.
-    pub fn dropped_series(&self) -> u64 {
-        self.state.lock().expect("series sink").dropped_series
-    }
-
-    /// A snapshot of one series, if present.
-    pub fn series(&self, name: &str, tid: u32) -> Option<TimeSeries> {
-        self.state.lock().expect("series sink").series.get(&(name.to_string(), tid)).cloned()
-    }
-
-    /// A snapshot of one histogram, if present.
-    pub fn hist(&self, name: &str) -> Option<Histogram> {
-        self.state.lock().expect("series sink").hists.get(name).cloned()
-    }
-
-    /// Renders every folded series and histogram as JSONL record lines
-    /// (schema-valid; see [`crate::schema`]), with a trailing newline
-    /// after each. Empty string when nothing was folded.
-    pub fn render_jsonl(&self) -> String {
-        let state = self.state.lock().expect("series sink");
-        let mut out = String::new();
-        for ((name, tid), series) in &state.series {
-            out.push_str(&series.to_json_record(name, *tid));
-            out.push('\n');
-        }
-        for (name, hist) in &state.hists {
-            out.push_str(&hist.to_json_record(name));
-            out.push('\n');
-        }
-        out
-    }
-
-    fn numeric(v: &FieldValue) -> Option<f64> {
-        match v {
-            FieldValue::U64(n) => Some(*n as f64),
-            FieldValue::I64(n) => Some(*n as f64),
-            FieldValue::F64(x) if x.is_finite() => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-impl Sink for SeriesSink {
-    fn record(&self, event: &Event) {
-        let mut state = self.state.lock().expect("series sink");
-        match event.kind {
-            EventKind::Counter | EventKind::Instant => {
-                for (k, v) in &event.fields {
-                    let Some(x) = Self::numeric(v) else { continue };
-                    let key = (format!("{}.{}", event.name, k), event.tid);
-                    if !state.series.contains_key(&key) && state.series.len() >= self.max_series {
-                        state.dropped_series += 1;
-                        continue;
-                    }
-                    let capacity = self.capacity;
-                    state
-                        .series
-                        .entry(key)
-                        .or_insert_with(|| TimeSeries::new(capacity))
-                        .push(event.stamp, x);
-                }
-            }
-            EventKind::End => {
-                if let Some(FieldValue::F64(secs)) = event.get("seconds") {
-                    if secs.is_finite() && *secs >= 0.0 {
-                        let name = format!("{}.seconds_us", event.name);
-                        state.hists.entry(name).or_default().record((secs * 1e6) as u64);
-                    }
-                }
-            }
-            EventKind::Begin => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,65 +274,6 @@ mod tests {
         assert_eq!(text.lines().count(), 1);
         crate::schema::validate_jsonl(&text).expect("schema-valid line");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn series_sink_folds_counters_per_track() {
-        let s = SeriesSink::new();
-        let mut a = Event::counter("perfmon.window", Stamp::Cycles(100)).field("mpki", 4.0);
-        a.tid = 1;
-        let mut b = Event::counter("perfmon.window", Stamp::Cycles(200)).field("mpki", 6.0);
-        b.tid = 1;
-        let mut c = Event::counter("perfmon.window", Stamp::Cycles(100)).field("mpki", 9.0);
-        c.tid = 2;
-        s.record(&a);
-        s.record(&b);
-        s.record(&c);
-        assert_eq!(s.series_count(), 2, "one series per (name, tid)");
-        let t1 = s.series("perfmon.window.mpki", 1).expect("track 1 series");
-        assert_eq!(t1.points(), &[(100, 4.0), (200, 6.0)]);
-        assert_eq!(s.series("perfmon.window.mpki", 2).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn series_sink_ignores_non_numeric_and_span_begins() {
-        let s = SeriesSink::new();
-        s.record(&ev("x", 1).field("who", "name").field("n", 2u64));
-        s.record(&Event::begin("span", Stamp::Cycles(0)).field("n", 3u64));
-        assert_eq!(s.series_count(), 1);
-        assert!(s.series("x.who", 0).is_none());
-    }
-
-    #[test]
-    fn series_sink_folds_span_seconds_into_hist() {
-        let s = SeriesSink::new();
-        s.record(&Event::end("figure.run", Stamp::WallUs(10)).field("seconds", 0.5));
-        s.record(&Event::end("figure.run", Stamp::WallUs(20)).field("seconds", 1.5));
-        let h = s.hist("figure.run.seconds_us").expect("histogram");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 1_500_000);
-    }
-
-    #[test]
-    fn series_sink_caps_distinct_series() {
-        let s = SeriesSink::with_limits(8, 2);
-        for tid in 0..4u32 {
-            let mut e = ev("m", 1).field("v", 1u64);
-            e.tid = tid;
-            s.record(&e);
-        }
-        assert_eq!(s.series_count(), 2);
-        assert_eq!(s.dropped_series(), 2);
-    }
-
-    #[test]
-    fn series_sink_jsonl_records_validate() {
-        let s = SeriesSink::new();
-        s.record(&ev("m", 5).field("v", 1.25));
-        s.record(&Event::end("figure.run", Stamp::WallUs(9)).field("seconds", 0.25));
-        let text = s.render_jsonl();
-        assert_eq!(text.lines().count(), 2);
-        crate::schema::validate_jsonl(&text).expect("records validate");
     }
 
     #[test]

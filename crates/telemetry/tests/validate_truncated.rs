@@ -1,28 +1,25 @@
 //! Regression tests: a JSONL trace truncated mid-record (the classic
 //! killed-run artifact) must fail validation with the offending line
 //! number — via a clean nonzero exit from `validate_trace`, never a
-//! panic. Covers event lines and the aggregate series/hist records.
+//! panic. Covers event lines and the `verdict` record.
 
 use std::process::Command;
 
-use waypart_telemetry::hist::Histogram;
 use waypart_telemetry::schema::validate_jsonl;
-use waypart_telemetry::series::TimeSeries;
 use waypart_telemetry::{Event, Stamp};
 
-/// A healthy mixed trace: two events, one series record, one hist record.
+/// A healthy mixed trace: three events, then one verdict record.
 fn mixed_trace() -> String {
-    let mut series = TimeSeries::new(8);
-    series.push(Stamp::Cycles(100), 1.0);
-    series.push(Stamp::Cycles(200), 2.0);
-    let mut hist = Histogram::new();
-    hist.record(40);
-    hist.record(90_000);
     [
         Event::begin("runner.run", Stamp::Cycles(0)).field("fg", "429.mcf").to_jsonl(),
-        Event::counter("perfmon.window", Stamp::Cycles(100)).field("mpki", 12.5).to_jsonl(),
-        series.to_json_record("perfmon.window.mpki", 3),
-        hist.to_json_record("sim.latency.llc"),
+        Event::counter("perfmon.window", Stamp::Cycles(100))
+            .field("mpki", 12.5)
+            .field("ipc", 0.75)
+            .to_jsonl(),
+        Event::end("figure.run", Stamp::WallUs(90_000)).field("seconds", 0.09).to_jsonl(),
+        "{\"record\":\"verdict\",\"metric\":\"current_cold_s\",\"verdict\":\"pass\",\
+         \"current\":1.2,\"median\":1.1,\"threshold\":1.4,\"n\":5}"
+            .to_string(),
     ]
     .join("\n")
         + "\n"
@@ -48,7 +45,7 @@ fn truncation_reports_line_number_not_panic() {
             assert!(e.starts_with("line "), "error lacks line number: {e}");
         }
     }
-    // A cut in the middle of the final hist record must point at line 4.
+    // A cut in the middle of the final verdict record must point at line 4.
     let cut = full.len() - 10;
     let err = validate_jsonl(&full[..cut]).unwrap_err();
     assert!(err.starts_with("line 4:"), "wrong line attribution: {err}");

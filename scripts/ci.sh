@@ -108,6 +108,10 @@ cargo run --release -p waypart-experiments --bin reproduce -- \
   --scale test --no-cache --out "$TRACE_DIR/results" \
   --trace "$TRACE_DIR/trace.jsonl" --metrics "$TRACE_DIR/metrics.json" fig12 >/dev/null
 cargo run --release -p waypart-telemetry --bin validate_trace -- "$TRACE_DIR/trace.jsonl"
+# A trace holds events only: no `series`/`hist` aggregate records.
+if grep -q '"record":' "$TRACE_DIR/trace.jsonl"; then
+  echo "FAIL: cold fig12 trace carries record lines beside its events" >&2; exit 1
+fi
 RUNS=$(grep -c '"name":"runner.run","kind":"end"' "$TRACE_DIR/trace.jsonl" || true)
 TALLIES=$(grep -c '"name":"sim.tallies"' "$TRACE_DIR/trace.jsonl" || true)
 [ "$RUNS" -gt 0 ] && [ "$TALLIES" -eq "$RUNS" ] \
@@ -118,6 +122,16 @@ for level in l1 l2 llc dram bypass; do
     || { echo "FAIL: cold fig12 trace has $N sim.latency $level summaries for $RUNS runs" >&2; exit 1; }
 done
 echo "fig12 trace: $RUNS runs, each with sim.tallies and five sim.latency levels"
+# Runs made through a sibling lab (ext_coloring's modulo-indexed machine)
+# count in the `run cache:` line: one simulated run per sim.tallies.
+cargo run --release -p waypart-experiments --bin reproduce -- \
+  --scale test --no-cache --out "$TRACE_DIR/coloring" \
+  --trace "$TRACE_DIR/coloring.jsonl" ext_coloring > "$TRACE_DIR/coloring.txt"
+SIMULATED=$(sed -n 's/^run cache: .* \([0-9]*\) simulated, .*/\1/p' "$TRACE_DIR/coloring.txt")
+TALLIES=$(grep -c '"name":"sim.tallies"' "$TRACE_DIR/coloring.jsonl" || true)
+[ "${SIMULATED:-0}" -gt 0 ] && [ "$SIMULATED" -eq "$TALLIES" ] \
+  || { echo "FAIL: cold ext_coloring counted ${SIMULATED:-no} simulated runs for $TALLIES sim.tallies" >&2; exit 1; }
+echo "ext_coloring: $SIMULATED simulated runs counted, one per sim.tallies"
 # Every controller's windows are timed, not only the dynamic one's: the
 # QoS grid's controllers reallocate hundreds of times.
 cargo run --release -p waypart-experiments --bin reproduce -- \
@@ -148,6 +162,10 @@ grep -q "per-access latency in cycles" "$TRACE_DIR/report.html" \
 if grep -q "no sim.latency summaries" "$TRACE_DIR/report.html"; then
   echo "FAIL: report shows the latency placeholder for a cold trace" >&2; exit 1
 fi
+# The counter-window panel plots each track's perfmon.window events,
+# IPC as well as MPKI.
+grep -q "<td>perfmon.window.ipc</td>" "$TRACE_DIR/report.html" \
+  || { echo "FAIL: report has no perfmon.window.ipc counter-window row" >&2; exit 1; }
 # Cache-warm traces must degrade to an explicit banner, not empty
 # panels. fig13 alone replays entirely from the cache, because the
 # command above just filled it with every run fig13 needs — its trace has
@@ -245,6 +263,24 @@ for flag in --trace --metrics --history --arena --verdicts --out --check; do
   cargo run --release -p waypart-experiments --bin report -- "$flag" >/dev/null 2>&1 || CODE=$?
   [ "$CODE" -eq 2 ] \
     || { echo "FAIL: report $flag without a value exited $CODE, want 2" >&2; exit 1; }
+done
+# `report` and `sentry` reject an unknown argument, a missing mode, a bad
+# number and an unreadable input the same way: exit 2, never a panic.
+for args in "report --bogus" "report" "report --trace $TRACE_DIR/trace.jsonl --metrics /nonexistent-dir/m.json" \
+    "report --trace /nonexistent-dir/t.jsonl" "sentry --history" "sentry --noise abc" "sentry --noise inf" \
+    "sentry --z -1" "sentry --bogus" "sentry" "sentry --history /nonexistent-dir/h.jsonl"; do
+  set -- $args
+  BIN=$1
+  shift
+  PKG=waypart-experiments
+  [ "$BIN" = sentry ] && PKG=waypart-bench
+  CODE=0
+  cargo run --release -p "$PKG" --bin "$BIN" -- "$@" >/dev/null 2>"$TRACE_DIR/cli.err" || CODE=$?
+  [ "$CODE" -eq 2 ] \
+    || { echo "FAIL: $args exited $CODE, want 2" >&2; exit 1; }
+  if grep -q "panicked" "$TRACE_DIR/cli.err"; then
+    echo "FAIL: $args panicked" >&2; exit 1
+  fi
 done
 # `probe` takes a subcommand, app names and a trace path, never flags: any
 # `-` argument or unknown subcommand exits 2 before anything runs, so a
